@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a failing
-congruence, 2 for usage or configuration errors.
+congruence, 2 for usage or configuration errors, 3 when an internal
+consistency check fails (a defect in ksum, not a failed congruence).
 """
 
 from __future__ import annotations
@@ -288,6 +289,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except kloos.InternalCheckError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ class MinPolyResult:
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """One verified congruence; passed is True iff lhs equals rhs."""
+    """One verified relation; passed is True iff lhs equals rhs, except for
+    the Weil bound, where it is True iff lhs <= rhs."""
 
     subject: str
     lhs: object
@@ -214,8 +215,8 @@ def check_weil_bound(ctx: FieldCtx, a: FFElem) -> CongruenceReport:
         raise ValueError("the rational-integer bound check requires p = 3")
     k = _rational_value(ctx, a)
     bound = 4 * ctx.q
-    lhs = max(k * k, bound)
-    return CongruenceReport("weil", lhs, bound, None, lhs == bound, a)
+    lhs = k * k
+    return CongruenceReport("weil", lhs, bound, None, lhs <= bound, a)
 
 
 def spectrum(ctx: FieldCtx) -> dict:

@@ -391,9 +391,52 @@ def check_gauss_square_mod27(uctx: UnramCtx, j: int) -> CongruenceReport:
 
 
 @lru_cache(maxsize=4)
-def _gauss_square_table(uctx: UnramCtx) -> tuple[int, ...]:
-    q = uctx.field.q
-    return (0,) + tuple(gauss_square_mod27(uctx, j).residue for j in range(1, q - 1))
+def _gauss_square_support(uctx: UnramCtx) -> tuple[tuple[int, int], ...]:
+    """(j, g(j)^2 mod 27) for every j in 1..q-2 whose computed value is nonzero.
+
+    Zero terms are dropped on their computed value, never on the weight law,
+    so the Fourier sum over this support is the full sum.
+    """
+    out = []
+    for j in range(1, uctx.field.q - 1):
+        c = gauss_square_mod27(uctx, j).residue
+        if c:
+            out.append((j, c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _teich_power_table(uctx: UnramCtx) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of teich(g)^k for k = 0..q-2, g the field generator.
+
+    teich(a)^s for a = g^k is then entry (s * k) mod (q-1).  Every entry is
+    checked to reduce to g^k, and teich(g)^(q-1) to be 1, so a wrong lift
+    or a wrong log table stops here instead of skewing a congruence.
+    """
+    field = uctx.field
+    exp = field.tables.exp
+    w = _teich_generator(uctx)
+    pw = uctx.one()
+    out = []
+    for k in range(field.q - 1):
+        if pw.reduce_mod_p() != field.element_at(exp[k]):
+            raise InternalCheckError(
+                f"teich(g)^{k} does not reduce to the generator power g^{k}")
+        out.append(pw.coords)
+        pw = pw * w
+    if pw != uctx.one():
+        raise InternalCheckError("teich(g)^(q-1) is not 1")
+    return tuple(out)
+
+
+def _power_combination(table, terms, k: int) -> list[int]:
+    """Coordinates of the sum of c * teich(g)^(s*k) over (s, c) in terms."""
+    m = len(table)
+    acc = [0] * len(table[0])
+    for s, c in terms:
+        for i, e in enumerate(table[s * k % m]):
+            acc[i] += c * e
+    return acc
 
 
 def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
@@ -404,6 +447,10 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
     21 * lifted trace + 18 * lifted weight-2 power sum.  The first path uses
     only Gauss sums and Teichmueller powers, the second only trace counting,
     so a match is a genuine cross-check.
+
+    Teichmueller powers are read from one table of teich(g)^k per lift, at
+    index (j * log a) mod (q-1).  At a = 0 every power taken is 0, as no
+    exponent in the sums is 0, and the table is not needed.
     """
     field = uctx.field
     if field.p != 3:
@@ -412,17 +459,17 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
         raise ValueError("mod-27 Fourier check requires n >= 3")
     if uctx.precision < 3:
         raise ValueError("mod-27 Fourier check requires >= 3 digits")
-    gsq = _gauss_square_table(uctx)
-    w = teichmuller(uctx, a)
-    acc = uctx.zero()
-    pw = uctx.one()
-    for j in range(1, field.q - 1):
-        pw = pw * w
-        c = gsq[j]
-        if c:
-            acc = acc + pw * c
-    sum_elem = -acc
-    coords27 = tuple(c % 27 for c in sum_elem.coords)
+    support = _gauss_square_support(uctx)
+    if a.is_zero():
+        acc = closed = [0] * field.n
+    else:
+        table = _teich_power_table(uctx)
+        k = field.tables.log[field.index(a)]
+        acc = _power_combination(table, support, k)
+        closed = _power_combination(
+            table, [(s, 21) for s in build_subset(field, "W").exponents]
+            + [(s, 18) for s in build_subset(field, "X").exponents], k)
+    coords27 = tuple(-c % 27 for c in acc)
     if any(coords27[1:]):
         raise InternalCheckError("Fourier sum is not rational mod 27")
     lhs = coords27[0]
@@ -430,9 +477,7 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
     if rhs is None:
         raise InternalCheckError("ternary Kloosterman sum is not rational")
     rhs %= 27
-    closed = (lifted_power_sum(uctx, build_subset(field, "W"), a) * 21
-              + lifted_power_sum(uctx, build_subset(field, "X"), a) * 18)
-    closed27 = tuple(c % 27 for c in closed.coords)
+    closed27 = tuple(c % 27 for c in closed)
     passed = lhs == rhs and closed27 == coords27
     return CongruenceReport("fourier", lhs, rhs, 27, passed, a)
 

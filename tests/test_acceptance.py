@@ -83,14 +83,14 @@ def test_criterion_04_gauss_square_weight_classes():
 
 def test_criterion_05_fourier_three_way_cross_check():
     failures, cases = [], 0
-    for n in range(3, 6):
+    for n in range(3, 7):
         uctx = lift_field(field(3, n), 3)
         for a in field(3, n).elements():
             rep = check_fourier_mod27(uctx, a)
             cases += 1
             if not rep.passed:
                 failures.append((n, a.coeffs, rep))
-    report_line("05", "spectral vs counting vs closed form mod 27, n=3..5",
+    report_line("05", "spectral vs counting vs closed form mod 27, n=3..6",
                 failures, cases)
     assert not failures, failures[:5]
 

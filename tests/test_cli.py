@@ -6,7 +6,7 @@ import pytest
 
 import ksum.kloos
 from ksum.cli import FieldSpecError, main, parse_field_spec
-from ksum.kloos import CongruenceReport
+from ksum.kloos import CongruenceReport, InternalCheckError
 
 
 # ---------------------------------------------------------- field specs
@@ -46,6 +46,18 @@ def test_verify_failure_exit_one(monkeypatch, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_internal_defect_exit_three(monkeypatch, capsys):
+    def broken(ctx, a):
+        raise InternalCheckError("trace counts do not cover the field")
+    monkeypatch.setattr(ksum.kloos, "check_mod9", broken)
+    rc = main(["verify", "--field", "p=3,n=2", "--check", "mod9", "--all",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: trace counts do not cover the field\n"
 
 
 def test_usage_errors_exit_two(capsys):

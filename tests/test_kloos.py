@@ -140,6 +140,7 @@ def test_weil_bound_exhaustive():
             assert rep.passed
             k = kloosterman(ctx, a).as_int()
             assert k * k <= 4 * ctx.q
+            assert rep.lhs == k * k
 
 
 def test_spectrum_frozen_f27(f27):

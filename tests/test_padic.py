@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ksum.padic
 from ksum.ff import build_subset, make_field, power_sum
+from ksum.kloos import CongruenceReport, InternalCheckError, kloosterman
 from ksum.padic import (PadicInt, PiMonomial, check_fourier_mod27,
                         check_gauss_square_mod27, check_stickelberger,
                         gamma_p, gauss_square_mod27, gauss_sum,
@@ -229,6 +231,70 @@ def test_fourier_exhaustive_q27(f27):
         rep = check_fourier_mod27(uctx, a)
         assert rep.passed, (a, rep)
         assert rep.modulus == 27
+
+
+def reference_fourier(uctx, gsq, a):
+    """The O(q^2) Fourier check the table-driven one replaced: a
+    Frobenius-iterated lift of a, its q-2 powers by repeated lifted
+    multiplies, and the closed form from lifted power sums."""
+    field = uctx.field
+    w = teichmuller(uctx, a)
+    acc = uctx.zero()
+    pw = uctx.one()
+    for j in range(1, field.q - 1):
+        pw = pw * w
+        if gsq[j]:
+            acc = acc + pw * gsq[j]
+    coords27 = tuple(c % 27 for c in (-acc).coords)
+    assert not any(coords27[1:])
+    lhs = coords27[0]
+    rhs = kloosterman(field, a).as_int() % 27
+    closed = (lifted_power_sum(uctx, build_subset(field, "W"), a) * 21
+              + lifted_power_sum(uctx, build_subset(field, "X"), a) * 18)
+    closed27 = tuple(c % 27 for c in closed.coords)
+    passed = lhs == rhs and closed27 == coords27
+    return CongruenceReport("fourier", lhs, rhs, 27, passed, a)
+
+
+@pytest.mark.parametrize("n,modulus,precision", [
+    (3, None, 3), (4, None, 3), (5, None, 3),
+    (4, (1, 1, 1, 1, 1), 3), (4, (1, 1, 1, 1, 1), 5),
+])
+def test_fourier_matches_reference_engine(n, modulus, precision):
+    ctx = make_field(3, n, modulus)
+    if modulus is not None:
+        assert ctx.generator != ctx.element((0, 1) + (0,) * (n - 2))
+    uctx = lift_field(ctx, precision)
+    gsq = [0] + [gauss_square_mod27(uctx, j).residue for j in range(1, ctx.q - 1)]
+    for a in ctx.elements():
+        assert check_fourier_mod27(uctx, a) == reference_fourier(uctx, gsq, a), a
+
+
+def _lift_generator_naively(monkeypatch, ctx):
+    monkeypatch.setattr(ksum.padic, "_teich_generator",
+                        lambda uctx: uctx.from_field(uctx.field.generator))
+
+
+def _swap_log_table_entries(monkeypatch, ctx):
+    exp = list(ctx.tables.exp)
+    exp[5], exp[6] = exp[6], exp[5]
+    monkeypatch.setattr(ctx, "tables", ctx.tables._replace(exp=exp))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_lift_generator_naively, "is not 1"),
+    (_swap_log_table_entries, "does not reduce"),
+], ids=["lift-not-a-root-of-unity", "entry-off-its-generator-power"])
+def test_fourier_rejects_corrupt_power_table(monkeypatch, corrupt, message):
+    ctx = make_field(3, 3)
+    uctx = lift_field(ctx, 3)
+    corrupt(monkeypatch, ctx)
+    ksum.padic._teich_power_table.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError, match=message):
+            check_fourier_mod27(uctx, ctx.element((1, 1, 0)))
+    finally:
+        ksum.padic._teich_power_table.cache_clear()
 
 
 def test_identities_exhaustive_q27(f27):
