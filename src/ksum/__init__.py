@@ -12,7 +12,7 @@ from .ff import ExponentSet, FFElem, FieldCtx, FieldError, build_subset, \
 from .kloos import CongruenceReport, InternalCheckError, KloostermanValue, \
     MinPolyResult, char_poly, check_conjugate_product, check_min_poly_degree, \
     check_min_poly_reduction, check_mod9, check_mod27, check_weil_bound, \
-    conjugate_family, kloosterman, min_poly, spectrum, spectrum_total
+    conjugate_family, kloosterman, min_poly
 from .padic import GammaArgument, PadicInt, PiMonomial, UnramCtx, UnramElem, \
     check_fourier_mod27, check_gauss_square_mod27, check_stickelberger, \
     gamma_p, gauss_sum, gauss_square_mod27, identity_reports, lift_field, \
@@ -36,5 +36,5 @@ __all__ = [
     "gauss_sum", "identity_reports", "kloosterman", "legendre", "lift_field",
     "lifted_power_sum", "make_field", "min_poly", "p_weight",
     "padic_from_rational", "power_sum", "product_linear", "run_verification",
-    "spectrum", "spectrum_total", "teichmuller",
+    "teichmuller",
 ]

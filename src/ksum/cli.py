@@ -67,12 +67,6 @@ def _parse_element(text: str) -> tuple[int, ...]:
             f"element {text!r}: expected comma-separated integers") from None
 
 
-def _open_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _field_from_args(args) -> tuple:
     p, n, modulus = parse_field_spec(args.field)
     return make_field(p, n, modulus)
@@ -169,15 +163,7 @@ def _cmd_spectrum(args) -> int:
     ctx = _field_from_args(args)
     job = VerificationJob(ctx.p, ctx.n, "spectrum", modulus=ctx.modulus,
                           scope=("all",), jobs=args.jobs)
-    report = run_verification(job)
-    stream, close = _open_out(args.out)
-    try:
-        emit_report(report, args.format, stream, records="all")
-    finally:
-        if close:
-            stream.close()
-    print(f"# elapsed {report.wall_time:.3f}s", file=sys.stderr)
-    return 0 if not report.failures else 1
+    return _run(job, args, records="all")
 
 
 def _cmd_verify(args) -> int:
@@ -196,13 +182,17 @@ def _cmd_verify(args) -> int:
         scope = ("sample", args.sample, args.seed)
     job = VerificationJob(p, n, args.check, modulus=modulus, scope=scope,
                           jobs=args.jobs, precision=args.precision)
+    return _run(job, args, records=args.records)
+
+
+def _run(job: VerificationJob, args, records: str) -> int:
+    """Run a sweep, write its report to --out or stdout, return the exit code."""
     report = run_verification(job)
-    stream, close = _open_out(args.out)
-    try:
-        emit_report(report, args.format, stream, records=args.records)
-    finally:
-        if close:
-            stream.close()
+    if args.out is None:
+        emit_report(report, args.format, sys.stdout, records=records)
+    else:
+        with open(args.out, "w") as stream:
+            emit_report(report, args.format, stream, records=records)
     print(f"# elapsed {report.wall_time:.3f}s", file=sys.stderr)
     return 0 if not report.failures else 1
 

@@ -127,10 +127,6 @@ class CycInt:
         return " + ".join(parts) if parts else "0"
 
 
-def galois_apply(i: int, u: CycInt) -> CycInt:
-    return u.galois(i)
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial over Z, coefficients constant term first.

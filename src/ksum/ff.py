@@ -55,7 +55,9 @@ def legendre(t: int, p: int) -> int:
 
 
 # Raw polynomial arithmetic on coefficient tuples (constant term first),
-# used before a context exists and inside table construction.
+# used before a context exists and inside table construction.  The last
+# argument only reduces coefficients, so the lifted ring in padic multiplies
+# mod p^K with the same code.
 
 def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
     n = len(modulus) - 1

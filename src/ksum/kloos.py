@@ -218,25 +218,3 @@ def check_weil_bound(ctx: FieldCtx, a: FFElem) -> CongruenceReport:
     lhs = k * k
     return CongruenceReport("weil", lhs, bound, None, lhs <= bound, a)
 
-
-def spectrum(ctx: FieldCtx) -> dict:
-    """Value -> frequency over all a; keys are ints for p = 3, else coords."""
-    hist: dict = {}
-    ternary = ctx.p == 3
-    for k in range(ctx.q):
-        counts = _counts_by_index(ctx, k)
-        value = CycInt.from_power_counts(ctx.p, counts)
-        key = value.as_rational() if ternary else value.coords
-        if ternary and key is None:
-            raise InternalCheckError("ternary Kloosterman sum is not rational")
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
-def spectrum_total(ctx: FieldCtx) -> CycInt:
-    """Sum of K(a) over every a; equals q exactly."""
-    totals = [0] * ctx.p
-    for k in range(ctx.q):
-        for t, c in enumerate(_counts_by_index(ctx, k)):
-            totals[t] += c
-    return CycInt.from_power_counts(ctx.p, totals)

@@ -2,11 +2,12 @@
 Gauss sums via the Gross-Koblitz product.
 
 Everything here works mod p^K for a fixed precision K.  The unramified
-ring Z_q is represented with the same modulus digits as its residue field,
-and ramified values live in multiplicative normal form pi^e * unit with
-pi^(p-1) = -p.  This path shares only the field layer with the exact
-cyclotomic computation, so agreement between the two is evidence, not
-circularity.
+ring Z_q is represented with the same modulus digits as its residue field
+and reuses the field layer's `_mulmod` / `_powmod`, reducing coefficients
+mod p^K instead of mod p.  Ramified values live in multiplicative normal
+form pi^e * unit with pi^(p-1) = -p.  This path shares only the field
+layer with the exact cyclotomic computation, so agreement between the two
+is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
-from .ff import FFElem, FieldCtx, build_subset, power_sum
+from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
 from .kloos import CongruenceReport, InternalCheckError, kloosterman
 
 
@@ -227,36 +228,14 @@ class UnramElem:
         if not isinstance(other, UnramElem):
             return NotImplemented
         self._check(other)
-        n = self.ctx.n
-        mod = self.ctx.modulus
-        acc = [0] * (2 * n - 1 if n > 1 else 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        acc[i + j] += a * b
-        for d in range(len(acc) - 1, n - 1, -1):
-            c = acc[d] % pk
-            acc[d] = 0
-            if c:
-                off = d - n
-                for j in range(n):
-                    acc[off + j] -= c * mod[j]
-        return UnramElem(self.ctx, tuple(v % pk for v in acc[:n]))
+        return UnramElem(self.ctx, _mulmod(self.coords, other.coords, self.ctx.modulus, pk))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> UnramElem:
         if e < 0:
             raise ValueError("negative unramified power")
-        out = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return UnramElem(self.ctx, _powmod(self.coords, e, self.ctx.modulus, self.ctx.pk))
 
     def reduce_mod_p(self) -> FFElem:
         return FFElem(tuple(c % self.ctx.p for c in self.coords))

@@ -13,6 +13,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Optional, Sequence, TextIO
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence, TextIO
 from . import kloos, padic
 from .cyclo import CycInt
 from .ff import FFElem, FieldCtx, FieldError, make_field
-from .kloos import CongruenceReport
+from .kloos import CongruenceReport, InternalCheckError
 
 
 class JobError(ValueError):
@@ -50,82 +51,71 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class CheckDef:
+    """One check: its witness domain, evaluator, requirement and lift.
+
+    `evaluate(ctx, uctx, idx)` returns the reports at one index (for the
+    aggregate domain, the counting row the aggregator consumes).  It looks
+    its check function up at call time, so a rebound module attribute is
+    what every sweep calls.  `precision` is (default, minimum) lift digits,
+    or None when the check needs no p-adic lift.
+    """
+
     domain: str                      # element | exponent | aggregate
-    needs_padic: bool
-    default_precision: Optional[int]
-    min_precision: int
-    requires: Callable[[int, int], Optional[str]]
-
-
-def _any(p: int, n: int) -> Optional[str]:
-    return None
-
-
-def _p3(p: int, n: int) -> Optional[str]:
-    return None if p == 3 else "requires p = 3"
-
-
-def _p3_n2(p: int, n: int) -> Optional[str]:
-    if p != 3:
-        return "requires p = 3"
-    return None if n >= 2 else "requires n >= 2"
-
-
-def _p3_n3(p: int, n: int) -> Optional[str]:
-    if p != 3:
-        return "requires p = 3"
-    return None if n >= 3 else "requires n >= 3"
+    evaluate: Callable[[FieldCtx, object, int], list]
+    p: Optional[int] = None          # required characteristic, None for any
+    min_n: int = 1
+    precision: Optional[tuple[int, int]] = None
+    histogram: bool = False          # tally lhs values (residue checks)
 
 
 CHECKS: dict[str, CheckDef] = {
-    "thm1": CheckDef("element", False, None, 0, _any),
-    "mod9": CheckDef("element", False, None, 0, _p3_n2),
-    "mod27": CheckDef("element", False, None, 0, _p3_n3),
-    "fourier": CheckDef("element", True, 3, 3, _p3_n3),
-    "identities": CheckDef("element", True, 3, 1, _p3_n3),
-    "moisio": CheckDef("element", False, None, 0, _any),
-    "wan": CheckDef("element", False, None, 0, _any),
-    "weil": CheckDef("element", False, None, 0, _p3),
-    "stickelberger": CheckDef("exponent", True, 2, 1, _any),
-    "wt1": CheckDef("exponent", True, 3, 3, _p3_n3),
-    "spectrum": CheckDef("aggregate", False, None, 0, _any),
+    "thm1": CheckDef(
+        "element", lambda c, u, i: [kloos.check_conjugate_product(c, c.element_at(i))]),
+    "mod9": CheckDef(
+        "element", lambda c, u, i: [kloos.check_mod9(c, c.element_at(i))],
+        p=3, min_n=2, histogram=True),
+    "mod27": CheckDef(
+        "element", lambda c, u, i: [kloos.check_mod27(c, c.element_at(i))],
+        p=3, min_n=3, histogram=True),
+    "fourier": CheckDef(
+        "element", lambda c, u, i: [padic.check_fourier_mod27(u, c.element_at(i))],
+        p=3, min_n=3, precision=(3, 3)),
+    "identities": CheckDef(
+        "element", lambda c, u, i: list(padic.identity_reports(u, c.element_at(i))),
+        p=3, min_n=3, precision=(3, 1)),
+    "moisio": CheckDef(
+        "element", lambda c, u, i: [kloos.check_min_poly_reduction(c, c.element_at(i))]),
+    "wan": CheckDef(
+        "element", lambda c, u, i: [kloos.check_min_poly_degree(c, c.element_at(i))]),
+    "weil": CheckDef(
+        "element", lambda c, u, i: [kloos.check_weil_bound(c, c.element_at(i))], p=3),
+    "stickelberger": CheckDef(
+        "exponent", lambda c, u, i: [padic.check_stickelberger(u, i)], precision=(2, 1)),
+    "wt1": CheckDef(
+        "exponent", lambda c, u, i: [padic.check_gauss_square_mod27(u, i)],
+        p=3, min_n=3, precision=(3, 3)),
+    "spectrum": CheckDef("aggregate", lambda c, u, i: [kloos._counts_by_index(c, i)]),
 }
 
 
-def _case_reports(check: str, ctx: FieldCtx, uctx, idx: int) -> list[CongruenceReport]:
-    if check in ("stickelberger", "wt1"):
-        if check == "stickelberger":
-            return [padic.check_stickelberger(uctx, idx)]
-        return [padic.check_gauss_square_mod27(uctx, idx)]
-    elem = ctx.element_at(idx)
-    if check == "thm1":
-        return [kloos.check_conjugate_product(ctx, elem)]
-    if check == "mod9":
-        return [kloos.check_mod9(ctx, elem)]
-    if check == "mod27":
-        return [kloos.check_mod27(ctx, elem)]
-    if check == "moisio":
-        return [kloos.check_min_poly_reduction(ctx, elem)]
-    if check == "wan":
-        return [kloos.check_min_poly_degree(ctx, elem)]
-    if check == "weil":
-        return [kloos.check_weil_bound(ctx, elem)]
-    if check == "fourier":
-        return [padic.check_fourier_mod27(uctx, elem)]
-    if check == "identities":
-        return list(padic.identity_reports(uctx, elem))
-    raise JobError(f"unknown check {check!r}")
+def _witness(check: str, ctx: FieldCtx, idx: int) -> str:
+    """The check and the CLI argument that re-runs it at one index."""
+    if CHECKS[check].domain == "exponent":
+        return f"(check {check}, --j {idx})"
+    return f"(check {check}, --a {','.join(map(str, ctx.element_at(idx).coeffs))})"
 
 
 def _block_worker(payload: tuple) -> list:
     p, n, modulus, check, precision, indices = payload
+    cd = CHECKS[check]
     ctx = make_field(p, n, modulus)
-    if check == "spectrum":
-        return [kloos._counts_by_index(ctx, k) for k in indices]
-    uctx = padic.lift_field(ctx, precision) if CHECKS[check].needs_padic else None
-    out: list[CongruenceReport] = []
+    uctx = padic.lift_field(ctx, precision) if cd.precision else None
+    out: list = []
     for idx in indices:
-        out.extend(_case_reports(check, ctx, uctx, idx))
+        try:
+            out.extend(cd.evaluate(ctx, uctx, idx))
+        except InternalCheckError as e:
+            raise InternalCheckError(f"{e} {_witness(check, ctx, idx)}") from e
     return out
 
 
@@ -175,12 +165,20 @@ def _split_blocks(indices: Sequence[int], workers: int) -> list[tuple[int, ...]]
 
 
 def _spectrum_reports(ctx: FieldCtx, counts_list: list[tuple[int, ...]]):
+    """Checksum and divisibility reports plus the value histogram.
+
+    `counts_list` holds the counting row of every field index in order, as
+    the aggregate domain only sweeps the whole field.
+    """
     p = ctx.p
     hist: dict = {}
     totals = [0] * p
-    for counts in counts_list:
+    for idx, counts in enumerate(counts_list):
         value = CycInt.from_power_counts(p, counts)
         key = value.as_rational() if p == 3 else value.coords
+        if key is None:
+            raise InternalCheckError(
+                f"ternary Kloosterman sum is not rational {_witness('spectrum', ctx, idx)}")
         hist[key] = hist.get(key, 0) + 1
         for t, c in enumerate(counts):
             totals[t] += c
@@ -199,20 +197,24 @@ def _spectrum_reports(ctx: FieldCtx, counts_list: list[tuple[int, ...]]):
 
 def run_verification(job: VerificationJob) -> SweepReport:
     t0 = time.perf_counter()
-    if job.check not in CHECKS:
+    cd = CHECKS.get(job.check)
+    if cd is None:
         raise JobError(f"unknown check {job.check!r}; choose from {sorted(CHECKS)}")
-    cd = CHECKS[job.check]
     try:
         ctx = make_field(job.p, job.n, job.modulus)
     except FieldError as e:
         raise JobError(str(e)) from e
-    problem = cd.requires(job.p, job.n)
-    if problem:
-        raise JobError(f"check {job.check!r} {problem} (field has p={job.p}, n={job.n})")
-    precision = job.precision if job.precision is not None else cd.default_precision
-    if cd.needs_padic and (precision is None or precision < cd.min_precision):
-        raise JobError(
-            f"check {job.check!r} needs precision >= {cd.min_precision}, got {precision}")
+    need = (f"p = {cd.p}" if cd.p not in (None, job.p)
+            else f"n >= {cd.min_n}" if job.n < cd.min_n else None)
+    if need:
+        raise JobError(f"check {job.check!r} requires {need} (field has p={job.p}, n={job.n})")
+    precision = None
+    if cd.precision is not None:
+        default, minimum = cd.precision
+        precision = job.precision if job.precision is not None else default
+        if precision < minimum:
+            raise JobError(
+                f"check {job.check!r} needs precision >= {minimum}, got {precision}")
 
     indices, scope_echo = _resolve_scope(job, ctx, cd.domain)
     workers = job.jobs if job.jobs is not None else (os.cpu_count() or 1)
@@ -227,17 +229,12 @@ def run_verification(job: VerificationJob) -> SweepReport:
         with Pool(processes=len(payloads)) as pool:
             results = pool.map(_block_worker, payloads)
 
+    cases = [r for block in results for r in block]
     histogram: Optional[dict] = None
-    if job.check == "spectrum":
-        counts_list = [c for block in results for c in block]
-        cases, histogram = _spectrum_reports(ctx, counts_list)
-    else:
-        cases = [r for block in results for r in block]
-        if job.check in ("mod9", "mod27"):
-            histogram = {}
-            for r in cases:
-                histogram[r.lhs] = histogram.get(r.lhs, 0) + 1
-            histogram = dict(sorted(histogram.items()))
+    if cd.domain == "aggregate":
+        cases, histogram = _spectrum_reports(ctx, cases)
+    elif cd.histogram:
+        histogram = dict(sorted(Counter(r.lhs for r in cases).items()))
 
     failures = [r for r in cases if not r.passed]
     echo = {
@@ -245,7 +242,7 @@ def run_verification(job: VerificationJob) -> SweepReport:
                   "generator": list(ctx.generator.coeffs)},
         "check": job.check,
         "scope": scope_echo,
-        "precision": precision if cd.needs_padic else None,
+        "precision": precision,
     }
     return SweepReport(echo, len(indices), cases, failures, histogram,
                        time.perf_counter() - t0)

@@ -11,16 +11,15 @@ cross-checks compare finished numbers only.
 import random
 from functools import lru_cache
 
-from ksum.cyclo import galois_apply
 from ksum.ff import make_field
 from ksum.kloos import (check_conjugate_product, check_min_poly_degree,
                         check_min_poly_reduction, check_mod9, check_mod27,
-                        check_weil_bound, kloosterman, min_poly,
-                        spectrum_total)
+                        check_weil_bound, kloosterman, min_poly)
 from ksum.padic import (PadicInt, check_fourier_mod27,
                         check_gauss_square_mod27, check_stickelberger,
                         gamma_p, identity_reports, lift_field,
                         padic_from_rational, teichmuller)
+from ksum.sweeps import VerificationJob, run_verification
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +199,7 @@ def test_criterion_10_property_suites():
             for i in range(1, (p - 1) // 2 + 1):
                 scaled = ctx.mul(a, ctx.from_int(i * i))
                 cases += 1
-                if kloosterman(ctx, scaled).value != galois_apply(i, base):
+                if kloosterman(ctx, scaled).value != base.galois(i):
                     failures.append(("galois", p, n, a.coeffs, i))
 
     # square bound and whole-field checksum on every swept field
@@ -213,7 +212,9 @@ def test_criterion_10_property_suites():
     for p, n in [(3, n) for n in range(2, 8)] + \
                 [(5, n) for n in range(2, 5)] + [(7, 2), (7, 3)]:
         cases += 1
-        if spectrum_total(field(p, n)).as_rational() != p ** n:
+        checksum = run_verification(VerificationJob(p, n, "spectrum", jobs=1)).cases[0]
+        if (checksum.subject, checksum.lhs, checksum.passed) != \
+                ("spectrum/checksum", p ** n, True):
             failures.append(("checksum", p, n))
 
     # lifted trace-cube and trace-times-wt2 identities, exhaustive n=3..6

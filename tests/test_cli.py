@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ksum.kloos
+import ksum.padic
 from ksum.cli import FieldSpecError, main, parse_field_spec
 from ksum.kloos import CongruenceReport, InternalCheckError
 
@@ -57,7 +58,33 @@ def test_internal_defect_exit_three(monkeypatch, capsys):
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: trace counts do not cover the field\n"
+    assert captured.err == ("internal error: trace counts do not cover the field "
+                            "(check mod9, --a 0,0)\n")
+
+
+def test_internal_defect_names_gauss_index(monkeypatch, capsys):
+    def broken(uctx, j):
+        raise InternalCheckError("squared Gauss sum kept a pi power")
+    monkeypatch.setattr(ksum.padic, "check_gauss_square_mod27", broken)
+    rc = main(["verify", "--field", "p=3,n=3", "--check", "wt1", "--j", "13",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: squared Gauss sum kept a pi power "
+                            "(check wt1, --j 13)\n")
+
+
+def test_spectrum_defect_exit_three(monkeypatch, capsys):
+    # a count vector whose value is not rational must stop the aggregator
+    monkeypatch.setattr(ksum.kloos, "_counts_by_index",
+                        lambda ctx, k: (ctx.q - 2, 2, 0))
+    rc = main(["spectrum", "--field", "p=3,n=2", "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
+                            "(check spectrum, --a 0,0)\n")
 
 
 def test_usage_errors_exit_two(capsys):

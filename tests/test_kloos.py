@@ -8,13 +8,13 @@ reproduce its count vector exactly, element by element.
 
 import pytest
 
-from ksum.cyclo import CycInt, galois_apply
+from ksum.cyclo import CycInt
 from ksum.ff import make_field
 from ksum.kloos import (char_poly, check_conjugate_product,
                         check_min_poly_degree, check_min_poly_reduction,
                         check_mod9, check_mod27, check_weil_bound,
-                        conjugate_family, kloosterman, min_poly, spectrum,
-                        spectrum_total)
+                        conjugate_family, kloosterman, min_poly)
+from ksum.sweeps import VerificationJob, run_verification
 
 
 def oracle_counts(ctx, a):
@@ -54,7 +54,7 @@ def test_galois_equivariance_exhaustive_f25(f25):
         base = kloosterman(f25, a).value
         for i in range(1, 5):
             scaled = f25.mul(a, f25.from_int(i * i))
-            assert kloosterman(f25, scaled).value == galois_apply(i, base)
+            assert kloosterman(f25, scaled).value == base.galois(i)
 
 
 def test_char_poly_frozen_f25_generator(f25):
@@ -143,19 +143,24 @@ def test_weil_bound_exhaustive():
             assert rep.lhs == k * k
 
 
-def test_spectrum_frozen_f27(f27):
+def spectrum_sweep(p, n):
+    return run_verification(VerificationJob(p, n, "spectrum", jobs=1))
+
+
+def test_spectrum_frozen_f27():
     # regression anchor; each entry is pinned by the elementwise oracle above
-    assert spectrum(f27) == {-9: 1, -6: 3, -3: 6, 0: 4, 3: 6, 6: 3, 9: 4}
+    assert spectrum_sweep(3, 3).histogram == {-9: 1, -6: 3, -3: 6, 0: 4, 3: 6, 6: 3, 9: 4}
 
 
 def test_spectrum_checksum():
     for p, n in ((3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
-        ctx = make_field(p, n)
-        total = spectrum_total(ctx)
-        assert total.as_rational() == ctx.q
+        checksum = spectrum_sweep(p, n).cases[0]
+        assert checksum.subject == "spectrum/checksum"
+        assert checksum.lhs == p ** n
+        assert checksum.passed
 
 
-def test_spectrum_values_divisible_by_three(f27):
-    for value, count in spectrum(f27).items():
+def test_spectrum_values_divisible_by_three():
+    for value, count in spectrum_sweep(3, 3).histogram.items():
         assert value % 3 == 0
         assert count > 0

@@ -114,6 +114,43 @@ def test_p_weight():
     assert p_weight(24, 5) == 8   # 44
 
 
+# ----------------------------------------------------------- lifted ring
+
+def schoolbook_mulmod(a, b, modulus, pk):
+    """a * b in Z[x] / (modulus, p^K): the full product, then long division
+    by the monic modulus from the top degree down, reducing mod p^K last."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            prod[i + j] += a[i] * b[j]
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod[top]
+        for j in range(n + 1):
+            prod[top - n + j] -= c * modulus[j]
+        assert prod[top] == 0
+    return tuple(v % pk for v in prod[:n])
+
+
+@pytest.mark.parametrize("p,n,modulus,precision", [
+    (3, 1, None, 3), (3, 3, None, 3), (3, 4, (1, 1, 1, 1, 1), 5), (5, 2, None, 2)])
+def test_unram_mul_and_pow_match_schoolbook(p, n, modulus, precision):
+    field = make_field(p, n, modulus)
+    uctx = lift_field(field, precision)
+    pk, mod = uctx.pk, field.modulus
+    rng = random.Random(field.q * 100 + precision)
+    draw = lambda: uctx.element([rng.randrange(pk) for _ in range(field.n)])
+    for _ in range(200):
+        x, y = draw(), draw()
+        assert (x * y).coords == schoolbook_mulmod(x.coords, y.coords, mod, pk)
+    for _ in range(4):
+        x = draw()
+        power = uctx.one().coords
+        for e in range(2 * field.q + 1):
+            assert (x ** e).coords == power, (x, e)
+            power = schoolbook_mulmod(power, x.coords, mod, pk)
+
+
 # ---------------------------------------------------------- teichmuller
 
 def test_teichmuller_properties_exhaustive_q27(f27):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -95,11 +96,13 @@ def test_bad_job_parameters_rejected():
         run_verification(VerificationJob(3, 3, "nope"))
     with pytest.raises(JobError):
         run_verification(VerificationJob(4, 2, "mod9"))
-    with pytest.raises(JobError):
+    with pytest.raises(JobError, match=re.escape(
+            "check 'mod27' requires n >= 3 (field has p=3, n=2)")):
         run_verification(VerificationJob(3, 2, "mod27"))
-    with pytest.raises(JobError):
+    with pytest.raises(JobError, match=re.escape(
+            "check 'mod9' requires p = 3 (field has p=5, n=2)")):
         run_verification(VerificationJob(5, 2, "mod9"))
-    with pytest.raises(JobError):
+    with pytest.raises(JobError, match=re.escape("needs precision >= 3, got 1")):
         run_verification(VerificationJob(3, 3, "fourier", precision=1))
 
 
