@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import kloos, padic
-from .ff import FieldError, make_field
+from .ff import is_prime, make_field
 from .sweeps import CHECKS, JobError, VerificationJob, emit_report, run_verification
 
 
@@ -72,52 +72,55 @@ def _field_from_args(args) -> tuple:
     return make_field(p, n, modulus)
 
 
+def _element_from_args(args) -> tuple:
+    ctx = _field_from_args(args)
+    return ctx, ctx.element(_parse_element(args.a))
+
+
 def _poly_payload(poly) -> dict:
     return {"coeffs": list(poly.coeffs), "degree": poly.degree, "text": str(poly)}
 
 
+def _show(args, payload: dict, lines: list[str]) -> int:
+    """Print a value command's result as one JSON object or as summary lines."""
+    if args.format == "json-lines":
+        print(json.dumps(payload))
+    else:
+        print("\n".join(lines))
+    return 0
+
+
 def _cmd_kloosterman(args) -> int:
-    ctx = _field_from_args(args)
-    a = ctx.element(_parse_element(args.a))
+    ctx, a = _element_from_args(args)
     kv = kloos.kloosterman(ctx, a)
     rational = kv.as_int()
-    if args.format == "json-lines":
-        print(json.dumps({
-            "a": list(a.coeffs), "counts": list(kv.counts),
-            "coords": list(kv.value.coords), "rational": rational,
-        }))
-    else:
-        print(f"a = {a}")
-        print(f"counts = {kv.counts}")
-        print(f"value = {kv.value}" + (f" = {rational}" if rational is not None else ""))
-    return 0
+    return _show(args, {
+        "a": list(a.coeffs), "counts": list(kv.counts),
+        "coords": list(kv.value.coords), "rational": rational,
+    }, [
+        f"a = {a}",
+        f"counts = {kv.counts}",
+        f"value = {kv.value}" + (f" = {rational}" if rational is not None else ""),
+    ])
 
 
 def _cmd_minpoly(args) -> int:
-    ctx = _field_from_args(args)
-    a = ctx.element(_parse_element(args.a))
+    ctx, a = _element_from_args(args)
     res = kloos.min_poly(ctx, a)
-    if args.format == "json-lines":
-        print(json.dumps({
-            "a": list(a.coeffs), "min_poly": _poly_payload(res.min_poly),
-            "multiplicity": res.multiplicity, "char_poly": _poly_payload(res.char_poly),
-        }))
-    else:
-        print(f"min poly  = {res.min_poly}")
-        print(f"multiplicity = {res.multiplicity}")
-        print(f"char poly = {res.char_poly}")
-    return 0
+    return _show(args, {
+        "a": list(a.coeffs), "min_poly": _poly_payload(res.min_poly),
+        "multiplicity": res.multiplicity, "char_poly": _poly_payload(res.char_poly),
+    }, [
+        f"min poly  = {res.min_poly}",
+        f"multiplicity = {res.multiplicity}",
+        f"char poly = {res.char_poly}",
+    ])
 
 
 def _cmd_charpoly(args) -> int:
-    ctx = _field_from_args(args)
-    a = ctx.element(_parse_element(args.a))
+    ctx, a = _element_from_args(args)
     poly = kloos.char_poly(ctx, a)
-    if args.format == "json-lines":
-        print(json.dumps({"a": list(a.coeffs), "char_poly": _poly_payload(poly)}))
-    else:
-        print(poly)
-    return 0
+    return _show(args, {"a": list(a.coeffs), "char_poly": _poly_payload(poly)}, [str(poly)])
 
 
 def _cmd_gauss(args) -> int:
@@ -128,41 +131,40 @@ def _cmd_gauss(args) -> int:
     arguments = padic._gamma_arguments(uctx, args.j)
     fracs = [str(arg.rational) for arg in arguments]
     gammas = [padic.gamma_p(arg.residue).residue for arg in arguments]
-    if args.format == "json-lines":
-        print(json.dumps({
-            "j": args.j, "weight": wt, "fractions": fracs, "gammas": gammas,
-            "pi_exponent": g.pi_exponent, "unit": list(g.unit.coords),
-            "precision": args.precision,
-        }))
-    else:
-        print(f"j = {args.j}  weight = {wt}")
-        print(f"gamma arguments = {fracs}")
-        print(f"gamma values mod {uctx.pk} = {gammas}")
-        print(f"g(j) = pi^{g.pi_exponent} * {g.unit.coords}")
-    return 0
+    return _show(args, {
+        "j": args.j, "weight": wt, "fractions": fracs, "gammas": gammas,
+        "pi_exponent": g.pi_exponent, "unit": list(g.unit.coords),
+        "precision": args.precision,
+    }, [
+        f"j = {args.j}  weight = {wt}",
+        f"gamma arguments = {fracs}",
+        f"gamma values mod {uctx.pk} = {gammas}",
+        f"g(j) = pi^{g.pi_exponent} * {g.unit.coords}",
+    ])
 
 
 def _cmd_gamma(args) -> int:
+    if not is_prime(args.p) or args.p == 2:
+        raise ValueError(f"p must be an odd prime, got {args.p}")
     if "/" in args.x:
         num, _, den = args.x.partition("/")
-        frac = Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError("zero denominator")
+        frac = Fraction(num, den)
         value = padic.padic_from_rational(frac.numerator, frac.denominator,
                                           args.p, args.precision)
     else:
         value = padic.PadicInt(args.p, args.precision, int(args.x))
     out = padic.gamma_p(value)
-    if args.format == "json-lines":
-        print(json.dumps({"p": args.p, "precision": args.precision,
-                          "argument": value.residue, "gamma": out.residue}))
-    else:
-        print(f"gamma_{args.p}({value.residue} mod {value.pk}) = {out.residue}")
-    return 0
+    return _show(args, {"p": args.p, "precision": args.precision,
+                        "argument": value.residue, "gamma": out.residue},
+                 [f"gamma_{args.p}({value.residue} mod {value.pk}) = {out.residue}"])
 
 
 def _cmd_spectrum(args) -> int:
-    ctx = _field_from_args(args)
-    job = VerificationJob(ctx.p, ctx.n, "spectrum", modulus=ctx.modulus,
-                          scope=("all",), jobs=args.jobs)
+    p, n, modulus = parse_field_spec(args.field)
+    job = VerificationJob(p, n, "spectrum", modulus=modulus, scope=("all",), jobs=args.jobs)
     return _run(job, args, records="all")
 
 
@@ -273,10 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FieldSpecError, FieldError, JobError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except kloos.InternalCheckError as e:

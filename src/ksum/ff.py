@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 
@@ -160,7 +160,6 @@ class FieldTables(NamedTuple):
 
     exp: list[int]                 # k -> index of generator**k
     log: list[Optional[int]]       # index -> k, None at zero
-    trace: list[int]               # index -> trace
     trace_by_log2: list[int]       # trace(g**k), doubled to avoid wrap mod q-1
     trace_inv_by_log: list[int]    # trace(g**-k)
 
@@ -304,11 +303,10 @@ class FieldCtx:
             cur = _mulmod(cur, gen, mod, p)
         if cur != self.one().coeffs:
             raise FieldError("generator does not have order q-1")
-        trace = [self.trace(self.element_at(k)) for k in range(q)]
-        by_log = [trace[i] for i in exp]
+        by_log = [self.trace(self.element_at(i)) for i in exp]
         trace_by_log2 = by_log + by_log
         trace_inv_by_log = [by_log[0]] + by_log[:0:-1]
-        return FieldTables(exp, log, trace, trace_by_log2, trace_inv_by_log)
+        return FieldTables(exp, log, trace_by_log2, trace_inv_by_log)
 
 
 def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> FieldCtx:
@@ -319,9 +317,10 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     selected, so the residue class of the indeterminate generates the
     multiplicative group.  For n = 1 the generator is the smallest positive
     primitive root and the modulus is the monic linear polynomial vanishing
-    on it.  A user-supplied modulus must be monic and irreducible; if it is
-    not primitive, the generator is the first element in enumeration order
-    of full multiplicative order.
+    on it.  A user-supplied modulus must be monic and irreducible; the
+    generator is the residue class of the indeterminate (for n = 1, the root
+    of the modulus) if that has full multiplicative order, else the first
+    element of full order in enumeration order from index 2.
     """
     if not is_prime(p) or p == 2:
         raise FieldError(f"p must be an odd prime, got {p}")
@@ -351,24 +350,13 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
         raise FieldError("modulus must be monic")
     if not _is_irreducible(mod, p):
         raise FieldError(f"modulus {mod} is reducible over F_{p}")
-    if n == 1:
-        g = (-mod[0]) % p
-        gen = (g,)
-        if not _has_full_order(gen, mod, p, q, radical):
-            gen = None
-    else:
-        x = (0, 1) + (0,) * (n - 2)
-        gen = x if _has_full_order(x, mod, p, q, radical) else None
-    if gen is None:
-        ctx = FieldCtx(p, n, mod, FFElem((1,) + (0,) * (n - 1)))  # placeholder
-        for k in range(2, q):
-            cand = ctx.element_at(k).coeffs
-            if _has_full_order(cand, mod, p, q, radical):
-                gen = cand
-                break
-        else:
-            raise FieldError("no generator found")  # unreachable for a field
-    return FieldCtx(p, n, mod, FFElem(gen))
+    x = ((-mod[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
+    # element k has the base-p digits of k as coefficients, constant first
+    elements = (tail[::-1] for tail in product(range(p), repeat=n))
+    for gen in chain([x], islice(elements, 2, None)):
+        if _has_full_order(gen, mod, p, q, radical):
+            return FieldCtx(p, n, mod, FFElem(gen))
+    raise FieldError("no generator found")  # unreachable for a field
 
 
 def _require_closed(ctx: FieldCtx, subset: ExponentSet) -> None:

@@ -106,10 +106,8 @@ def _witness(check: str, ctx: FieldCtx, idx: int) -> str:
 
 
 def _block_worker(payload: tuple) -> list:
-    p, n, modulus, check, precision, indices = payload
+    check, ctx, uctx, indices = payload
     cd = CHECKS[check]
-    ctx = make_field(p, n, modulus)
-    uctx = padic.lift_field(ctx, precision) if cd.precision else None
     out: list = []
     for idx in indices:
         try:
@@ -124,9 +122,9 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
     kind = job.scope[0]
     if domain == "aggregate" and kind != "all":
         raise JobError(f"check {job.check!r} only supports a full sweep (--all)")
+    pool = range(q) if domain != "exponent" else range(1, q - 1)
     if kind == "all":
-        indices = list(range(q)) if domain != "exponent" else list(range(1, q - 1))
-        return indices, {"kind": "all"}
+        return list(pool), {"kind": "all"}
     if kind == "element":
         if domain == "exponent":
             raise JobError(
@@ -143,7 +141,6 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
         return [j], {"kind": "exponent", "j": j}
     if kind == "sample":
         count, seed = job.scope[1], job.scope[2]
-        pool = range(q) if domain != "exponent" else range(1, q - 1)
         if not 0 <= count <= len(pool):
             raise JobError(f"sample size {count} outside [0, {len(pool)}]")
         indices = sorted(random.Random(seed).sample(pool, count))
@@ -208,20 +205,25 @@ def run_verification(job: VerificationJob) -> SweepReport:
             else f"n >= {cd.min_n}" if job.n < cd.min_n else None)
     if need:
         raise JobError(f"check {job.check!r} requires {need} (field has p={job.p}, n={job.n})")
-    precision = None
+    precision = uctx = None
     if cd.precision is not None:
         default, minimum = cd.precision
         precision = job.precision if job.precision is not None else default
         if precision < minimum:
             raise JobError(
                 f"check {job.check!r} needs precision >= {minimum}, got {precision}")
+        uctx = padic.lift_field(ctx, precision)
+    elif job.precision is not None:
+        raise JobError(f"check {job.check!r} takes no precision, got {job.precision}")
 
     indices, scope_echo = _resolve_scope(job, ctx, cd.domain)
     workers = job.jobs if job.jobs is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise JobError(f"worker count must be positive, got {job.jobs}")
     blocks = _split_blocks(indices, workers)
-    payloads = [(job.p, job.n, ctx.modulus, job.check, precision, blk) for blk in blocks]
+    # the parent builds no tables before this point, so the pickled contexts
+    # stay small and each worker builds its own
+    payloads = [(job.check, ctx, uctx, blk) for blk in blocks]
 
     if len(payloads) <= 1:
         results = [_block_worker(pl) for pl in payloads]
@@ -316,8 +318,5 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, FFElem):
-        return ":".join(str(c) for c in v.coeffs)
-    if isinstance(v, tuple):
-        return ":".join(str(c) for c in v)
-    return str(v)
+    v = _jsonable(v)
+    return ":".join(map(str, v)) if isinstance(v, list) else str(v)

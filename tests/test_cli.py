@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import ksum.cli
 import ksum.kloos
 import ksum.padic
+import ksum.sweeps
 from ksum.cli import FieldSpecError, main, parse_field_spec
 from ksum.kloos import CongruenceReport, InternalCheckError
 
@@ -144,6 +146,21 @@ def test_gamma_rejects_non_unit_denominator(capsys):
     capsys.readouterr()
 
 
+def test_gamma_zero_denominator_exit_two(capsys):
+    assert main(["gamma", "--p", "3", "--x", "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator\n"
+
+
+def test_gamma_requires_odd_prime(capsys):
+    for p in (0, 1, 2, 4, 9, -3):
+        assert main(["gamma", "--p", str(p), "--x", "3"]) == 2, p
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: p must be an odd prime, got {p}\n"
+
+
 def test_gauss_json(capsys):
     rc = main(["gauss", "--field", "p=3,n=3", "--j", "1",
                "--format", "json-lines"])
@@ -160,6 +177,22 @@ def test_spectrum_summary(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_one_field_build_per_run(monkeypatch, capsys):
+    calls = []
+    for module in (ksum.sweeps, ksum.cli):
+        def counted(*args, _real=module.make_field):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(module, "make_field", counted)
+    for argv in (["spectrum", "--field", "p=3,n=3", "--jobs", "1"],
+                 ["verify", "--field", "p=3,n=3", "--check", "fourier", "--all",
+                  "--jobs", "1"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 # ----------------------------------------------------- output discipline

@@ -77,7 +77,7 @@ def oracle_irreducible(mod, p):
     """Distinct-degree test: x^{p^n} = x mod f and no smaller fixed field."""
     n = len(mod) - 1
     x = [0, 1]
-    if poly_powmod(x, p ** n, mod, p) != poly_trim(x):
+    if poly_powmod(x, p ** n, mod, p) != poly_rem(x, mod, p):
         return False
     for d in {n // r for r in range(2, n + 1) if n % r == 0 and is_prime_naive(r)}:
         g = poly_gcd(poly_sub(poly_powmod(x, p ** d, mod, p), x, p), mod, p)
@@ -205,6 +205,39 @@ def test_rejects_bad_parameters():
         make_field(3, 2, (0, 0, 1))  # x^2, reducible
     with pytest.raises(FieldError):
         make_field(3, 2, (2, 0, 2))  # not monic
+
+
+def oracle_has_full_order(a, mod, p):
+    q = p ** (len(mod) - 1)
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime_naive(r)]
+    return (poly_powmod(a, q - 1, mod, p) == [1]
+            and all(poly_powmod(a, (q - 1) // r, mod, p) != [1] for r in primes))
+
+
+def oracle_generator(mod, p):
+    """The residue of x if it has full order, else the first element from
+    index 2 (base-p digits, constant first) that does."""
+    n = len(mod) - 1
+    x = poly_rem([0, 1], mod, p)
+    digits = [[(k // p ** i) % p for i in range(n)] for k in range(2, p ** n)]
+    for cand in [x + [0] * (n - len(x))] + digits:
+        if oracle_has_full_order(cand, mod, p):
+            return tuple(cand)
+    raise AssertionError("no generator found")
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2),
+                                 (3, 3), (3, 4)])
+def test_user_modulus_generator_matches_oracle(p, n):
+    for tail in itertools.product(range(p), repeat=n):
+        mod = tail + (1,)
+        if not oracle_irreducible(mod, p):
+            with pytest.raises(FieldError):
+                make_field(p, n, mod)
+            continue
+        ctx = make_field(p, n, mod)
+        assert ctx.modulus == mod
+        assert ctx.generator.coeffs == oracle_generator(mod, p), mod
 
 
 def test_custom_irreducible_non_primitive_modulus():

@@ -104,6 +104,8 @@ def test_bad_job_parameters_rejected():
         run_verification(VerificationJob(5, 2, "mod9"))
     with pytest.raises(JobError, match=re.escape("needs precision >= 3, got 1")):
         run_verification(VerificationJob(3, 3, "fourier", precision=1))
+    with pytest.raises(JobError, match=re.escape("check 'mod9' takes no precision, got 1")):
+        run_verification(VerificationJob(3, 3, "mod9", precision=1))
 
 
 def test_precision_defaults_into_echo():
