@@ -60,21 +60,13 @@ def legendre(t: int, p: int) -> int:
 # mod p^K with the same code.
 
 def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    n = len(modulus) - 1
-    acc = [0] * (2 * n - 1 if n > 1 else 1)
+    acc = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     acc[i + j] += ai * bj
-    for d in range(len(acc) - 1, n - 1, -1):
-        c = acc[d] % p
-        acc[d] = 0
-        if c:
-            off = d - n
-            for j in range(n):
-                acc[off + j] -= c * modulus[j]
-    return tuple(v % p for v in acc[:n])
+    return _rem(acc, modulus, p)
 
 
 def _powmod(a: tuple[int, ...], e: int, modulus: Sequence[int], p: int) -> tuple[int, ...]:
@@ -90,17 +82,19 @@ def _powmod(a: tuple[int, ...], e: int, modulus: Sequence[int], p: int) -> tuple
 
 
 def _rem(dividend: Sequence[int], divisor: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of dividend by a monic divisor, both constant-first."""
-    rem = [c % p for c in dividend]
+    """Remainder of dividend by a monic divisor, both constant-first.
+
+    Only each top coefficient and the result are reduced mod p.
+    """
+    rem = list(dividend)
     d = len(divisor) - 1
     for top in range(len(rem) - 1, d - 1, -1):
-        c = rem[top]
+        c = rem[top] % p
         if c:
-            rem[top] = 0
             off = top - d
             for j in range(d):
-                rem[off + j] = (rem[off + j] - c * divisor[j]) % p
-    return tuple(rem[:d])
+                rem[off + j] -= c * divisor[j]
+    return tuple(v % p for v in rem[:d])
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
@@ -237,10 +231,6 @@ class FieldCtx:
         p = self.p
         return FFElem(tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs)))
 
-    def neg(self, x: FFElem) -> FFElem:
-        p = self.p
-        return FFElem(tuple(-a % p for a in x.coeffs))
-
     def mul(self, x: FFElem, y: FFElem) -> FFElem:
         return FFElem(_mulmod(x.coeffs, y.coeffs, self.modulus, self.p))
 
@@ -330,13 +320,19 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     radical = distinct_prime_factors(q - 1)
 
     if modulus is None:
+        radical_p = distinct_prime_factors(p - 1)
+        roots = (g for g in range(2, p)
+                 if all(pow(g, (p - 1) // r, p) != 1 for r in radical_p))
         if n == 1:
-            for g in range(2, p):
-                if all(pow(g, (p - 1) // r, p) != 1 for r in radical):
-                    return FieldCtx(p, 1, ((-g) % p, 1), FFElem((g,)))
-            raise FieldError(f"no primitive root mod {p}")  # unreachable
+            g = next(roots)
+            return FieldCtx(p, 1, ((-g) % p, 1), FFElem((g,)))
+        # the norm (-1)^n * c0 of a generator generates F_p^*, so no other
+        # constant term c0 can give a primitive modulus
+        constants = {(-1) ** n * g % p for g in roots}
         x = (0, 1) + (0,) * (n - 2)
         for tail in product(range(p), repeat=n):
+            if tail[0] not in constants:
+                continue
             cand = tail + (1,)
             if _has_full_order(x, cand, p, q, radical):
                 return FieldCtx(p, n, cand, FFElem(x))

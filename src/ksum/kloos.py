@@ -117,7 +117,13 @@ def min_poly(ctx: FieldCtx, a: FFElem) -> MinPolyResult:
 
 
 def check_conjugate_product(ctx: FieldCtx, a: FFElem) -> CongruenceReport:
-    """Product of the conjugate sums vs p * (Tr(a) | p), mod p^2."""
+    """Product of the conjugate sums vs p * (Tr(a) | p), mod p^2.
+
+    At p = 3 the product is K(a) alone and the law is the mod-9 law, which
+    requires n > 1.
+    """
+    if ctx.p == 3 and ctx.n < 2:
+        raise ValueError("conjugate-product check at p = 3 requires n > 1")
     family = conjugate_family(ctx, a)
     prod = reduce(operator.mul, [kv.value for kv in family])
     r = prod.as_rational()

@@ -13,9 +13,10 @@ is evidence, not circularity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
 from typing import Sequence, Union
 
 from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
@@ -75,6 +76,8 @@ class PadicInt:
 
 def padic_from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     """num/den as a p-adic integer; den must be coprime to p."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     if den == 0:
         raise ValueError("zero denominator")
     if math.gcd(den, p) != 1:
@@ -167,16 +170,53 @@ class UnramCtx:
             raise ValueError("mismatched p-adic precision")
         return self.from_int(x.residue)
 
-    def from_field(self, a: FFElem) -> UnramElem:
-        """The naive digit-wise lift of a field element."""
-        if len(a.coeffs) != self.n:
-            raise ValueError("element does not belong to the base field")
-        return UnramElem(self, tuple(int(c) % self.pk for c in a.coeffs))
-
     def element(self, coords: Sequence[int]) -> UnramElem:
         if len(coords) != self.n:
             raise ValueError(f"need {self.n} coordinates")
         return UnramElem(self, tuple(int(c) % self.pk for c in coords))
+
+    # per-lift tables: built on first use, kept as long as the lift
+
+    @cached_property
+    def teich_generator(self) -> UnramElem:
+        return teichmuller(self, self.field.generator)
+
+    @cached_property
+    def teich_powers(self) -> tuple[tuple[int, ...], ...]:
+        """Coordinates of teich(g)^k for k = 0..q-2, g the field generator.
+
+        teich(a)^s for a = g^k is then entry (s * k) mod (q-1).  Every entry is
+        checked to reduce to g^k, and teich(g)^(q-1) to be 1, so a wrong lift
+        or a wrong log table stops here instead of skewing a congruence.
+        """
+        field = self.field
+        exp = field.tables.exp
+        w = self.teich_generator
+        pw = self.one()
+        out = []
+        for k in range(field.q - 1):
+            if pw.reduce_mod_p() != field.element_at(exp[k]):
+                raise InternalCheckError(
+                    f"teich(g)^{k} does not reduce to the generator power g^{k}")
+            out.append(pw.coords)
+            pw = pw * w
+        if pw != self.one():
+            raise InternalCheckError("teich(g)^(q-1) is not 1")
+        return tuple(out)
+
+    @cached_property
+    def gauss_square_support(self) -> tuple[tuple[int, int], ...]:
+        """(j, g(j)^2 mod 27) for every j in 1..q-2 whose computed value is nonzero.
+
+        Zero terms are dropped on their computed value, never on the weight law,
+        so the Fourier sum over this support is the full sum.
+        """
+        out = []
+        for j in range(1, self.field.q - 1):
+            c = gauss_square_mod27(self, j).residue
+            if c:
+                out.append((j, c))
+        return tuple(out)
 
 
 def lift_field(field: FieldCtx, precision: int) -> UnramCtx:
@@ -285,16 +325,11 @@ def teichmuller(uctx: UnramCtx, a: FFElem) -> UnramElem:
     """
     if a.is_zero():
         return uctx.zero()
-    y = uctx.from_field(a)
+    y = uctx.element(a.coeffs)
     q = uctx.field.q
     for _ in range(uctx.precision):
         y = y ** q
     return y
-
-
-@lru_cache(maxsize=8)
-def _teich_generator(uctx: UnramCtx) -> UnramElem:
-    return teichmuller(uctx, uctx.field.generator)
 
 
 def lifted_power_sum(uctx: UnramCtx, subset, a: FFElem) -> UnramElem:
@@ -369,45 +404,6 @@ def check_gauss_square_mod27(uctx: UnramCtx, j: int) -> CongruenceReport:
     return CongruenceReport("wt1", lhs, rhs, 27, lhs == rhs, j)
 
 
-@lru_cache(maxsize=4)
-def _gauss_square_support(uctx: UnramCtx) -> tuple[tuple[int, int], ...]:
-    """(j, g(j)^2 mod 27) for every j in 1..q-2 whose computed value is nonzero.
-
-    Zero terms are dropped on their computed value, never on the weight law,
-    so the Fourier sum over this support is the full sum.
-    """
-    out = []
-    for j in range(1, uctx.field.q - 1):
-        c = gauss_square_mod27(uctx, j).residue
-        if c:
-            out.append((j, c))
-    return tuple(out)
-
-
-@lru_cache(maxsize=4)
-def _teich_power_table(uctx: UnramCtx) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of teich(g)^k for k = 0..q-2, g the field generator.
-
-    teich(a)^s for a = g^k is then entry (s * k) mod (q-1).  Every entry is
-    checked to reduce to g^k, and teich(g)^(q-1) to be 1, so a wrong lift
-    or a wrong log table stops here instead of skewing a congruence.
-    """
-    field = uctx.field
-    exp = field.tables.exp
-    w = _teich_generator(uctx)
-    pw = uctx.one()
-    out = []
-    for k in range(field.q - 1):
-        if pw.reduce_mod_p() != field.element_at(exp[k]):
-            raise InternalCheckError(
-                f"teich(g)^{k} does not reduce to the generator power g^{k}")
-        out.append(pw.coords)
-        pw = pw * w
-    if pw != uctx.one():
-        raise InternalCheckError("teich(g)^(q-1) is not 1")
-    return tuple(out)
-
-
 def _power_combination(table, terms, k: int) -> list[int]:
     """Coordinates of the sum of c * teich(g)^(s*k) over (s, c) in terms."""
     m = len(table)
@@ -438,11 +434,11 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
         raise ValueError("mod-27 Fourier check requires n >= 3")
     if uctx.precision < 3:
         raise ValueError("mod-27 Fourier check requires >= 3 digits")
-    support = _gauss_square_support(uctx)
+    support = uctx.gauss_square_support
     if a.is_zero():
         acc = closed = [0] * field.n
     else:
-        table = _teich_power_table(uctx)
+        table = uctx.teich_powers
         k = field.tables.log[field.index(a)]
         acc = _power_combination(table, support, k)
         closed = _power_combination(
@@ -459,6 +455,23 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
     closed27 = tuple(c % 27 for c in closed)
     passed = lhs == rhs and closed27 == coords27
     return CongruenceReport("fourier", lhs, rhs, 27, passed, a)
+
+
+def _lifted_digit_sum(uctx: UnramCtx, by_digit, subset) -> UnramElem:
+    """Sum of teich(a)^s over the exponents s of a p = 3 family.
+
+    by_digit[d][i] is teich(a)^(d * 3^i), so teich(a)^s is the product of
+    the entries at the nonzero base-3 digits d of s.
+    """
+    acc = uctx.zero()
+    for s in subset.exponents:
+        factors = []
+        for i in range(uctx.n):
+            s, d = divmod(s, 3)
+            if d:
+                factors.append(by_digit[d][i])
+        acc = acc + reduce(operator.mul, factors)
+    return acc
 
 
 def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
@@ -479,25 +492,10 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
     b = [w]
     for _ in range(n - 1):
         b.append(b[-1] ** 3)
-    bsq = [e * e for e in b]
-    trh = b[0]
-    for e in b[1:]:
-        trh = trh + e
-    xh = uctx.zero()
-    for i in range(n):
-        for j in range(i, n):
-            xh = xh + (bsq[i] if i == j else b[i] * b[j])
-    yh = uctx.zero()
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = b[i] * b[j]
-            for k in range(j + 1, n):
-                yh = yh + bij * b[k]
-    zh = uctx.zero()
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                zh = zh + bsq[i] * b[j]
+    by_digit = (None, b, [e * e for e in b])
+    lifted = {kind: _lifted_digit_sum(uctx, by_digit, build_subset(field, kind))
+              for kind in "WXYZ"}
+    trh, yh, zh = lifted["W"], lifted["Y"], lifted["Z"]
 
     reports = []
     lhs = (trh ** 3).coords
@@ -513,7 +511,6 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
     reports.append(CongruenceReport(
         "identities/trace-times-wt2", lhs2, rhs2, 3, lhs2 == rhs2, a))
 
-    lifted = {"W": trh, "X": xh, "Y": yh, "Z": zh}
     for kind in "WXYZ":
         down = lifted[kind].reduce_mod_p().coeffs
         ts = power_sum(field, build_subset(field, kind), a)
@@ -521,9 +518,8 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
         reports.append(CongruenceReport(
             f"identities/lift-reduces-{kind}", down, expect, 3, down == expect, a))
 
-    wg = _teich_generator(uctx)
     lhs3 = teichmuller(uctx, field.mul(a, field.generator)).coords
-    rhs3 = (w * wg).coords
+    rhs3 = (w * uctx.teich_generator).coords
     reports.append(CongruenceReport(
         "identities/teich-mult", lhs3, rhs3, uctx.pk, lhs3 == rhs3, a))
     return tuple(reports)

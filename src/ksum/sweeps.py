@@ -1,22 +1,24 @@
 """Verification sweeps: check registry, parallel execution, report emission.
 
 A job names a field, a check, and a scope (everything, one witness, or a
-seeded sample).  The witness domain is split into contiguous blocks, one
-per worker, and block results are concatenated in block order, so output
-is byte-identical regardless of worker count.  Wall time is tracked on the
+seeded sample).  `Pool.map` splits the witnesses into contiguous chunks,
+one per worker, and returns the results in witness order, so output is
+byte-identical regardless of worker count.  Wall time is tracked on the
 report but never written to the output stream for the same reason.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Optional, TextIO
 
 from . import kloos, padic
 from .cyclo import CycInt
@@ -105,16 +107,11 @@ def _witness(check: str, ctx: FieldCtx, idx: int) -> str:
     return f"(check {check}, --a {','.join(map(str, ctx.element_at(idx).coeffs))})"
 
 
-def _block_worker(payload: tuple) -> list:
-    check, ctx, uctx, indices = payload
-    cd = CHECKS[check]
-    out: list = []
-    for idx in indices:
-        try:
-            out.extend(cd.evaluate(ctx, uctx, idx))
-        except InternalCheckError as e:
-            raise InternalCheckError(f"{e} {_witness(check, ctx, idx)}") from e
-    return out
+def _evaluate(check: str, ctx: FieldCtx, uctx, idx: int) -> list:
+    try:
+        return CHECKS[check].evaluate(ctx, uctx, idx)
+    except InternalCheckError as e:
+        raise InternalCheckError(f"{e} {_witness(check, ctx, idx)}") from e
 
 
 def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[list[int], dict]:
@@ -146,19 +143,6 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
         indices = sorted(random.Random(seed).sample(pool, count))
         return indices, {"kind": "sample", "count": count, "seed": seed}
     raise JobError(f"unknown scope {kind!r}")
-
-
-def _split_blocks(indices: Sequence[int], workers: int) -> list[tuple[int, ...]]:
-    if not indices:
-        return []
-    workers = max(1, min(workers, len(indices)))
-    size, extra = divmod(len(indices), workers)
-    blocks, start = [], 0
-    for w in range(workers):
-        stop = start + size + (1 if w < extra else 0)
-        blocks.append(tuple(indices[start:stop]))
-        start = stop
-    return blocks
 
 
 def _spectrum_reports(ctx: FieldCtx, counts_list: list[tuple[int, ...]]):
@@ -217,21 +201,20 @@ def run_verification(job: VerificationJob) -> SweepReport:
         raise JobError(f"check {job.check!r} takes no precision, got {job.precision}")
 
     indices, scope_echo = _resolve_scope(job, ctx, cd.domain)
-    workers = job.jobs if job.jobs is not None else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = job.jobs if job.jobs is not None else cpus
     if workers < 1:
         raise JobError(f"worker count must be positive, got {job.jobs}")
-    blocks = _split_blocks(indices, workers)
-    # the parent builds no tables before this point, so the pickled contexts
-    # stay small and each worker builds its own
-    payloads = [(job.check, ctx, uctx, blk) for blk in blocks]
-
-    if len(payloads) <= 1:
-        results = [_block_worker(pl) for pl in payloads]
+    workers = min(workers, cpus, len(indices))
+    evaluate = partial(_evaluate, job.check, ctx, uctx)
+    if workers > 1:
+        with Pool(processes=workers) as pool:
+            results = pool.map(evaluate, indices,
+                               chunksize=math.ceil(len(indices) / workers))
     else:
-        with Pool(processes=len(payloads)) as pool:
-            results = pool.map(_block_worker, payloads)
+        results = [evaluate(idx) for idx in indices]
 
-    cases = [r for block in results for r in block]
+    cases = [r for rs in results for r in rs]
     histogram: Optional[dict] = None
     if cd.domain == "aggregate":
         cases, histogram = _spectrum_reports(ctx, cases)

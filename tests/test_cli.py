@@ -1,9 +1,14 @@
 """Command-line interface: parsing, exit codes, output discipline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ksum
 import ksum.cli
 import ksum.kloos
 import ksum.padic
@@ -100,6 +105,15 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_thm1_rejects_ternary_prime_field(capsys):
+    rc = main(["verify", "--field", "p=3,n=1", "--check", "thm1", "--all",
+               "--jobs", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: conjugate-product check at p = 3 requires n > 1\n"
+
+
 def test_unknown_check_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--field", "p=3,n=3", "--check", "bogus", "--all"])
@@ -151,6 +165,16 @@ def test_gamma_zero_denominator_exit_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: zero denominator\n"
+
+
+def test_gamma_rejects_precision_below_one(capsys):
+    for precision in ("0", "-1"):
+        for x in ("2", "1/2"):
+            assert main(["gamma", "--p", "3", "--precision", precision,
+                         "--x", x]) == 2, (precision, x)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: precision must be at least 1\n"
 
 
 def test_gamma_requires_odd_prime(capsys):
@@ -239,3 +263,64 @@ def test_single_exponent_via_j(capsys):
                "--jobs", "1"])
     assert rc == 0
     assert "PASS total=1" in capsys.readouterr().out
+
+
+def test_workers_bounded_by_cpus_and_witnesses(monkeypatch, capsys):
+    created = []
+
+    class InProcessPool:
+        """Records the pool it was asked for and maps in this process."""
+
+        def __init__(self, processes=None):
+            created.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return [fn(x) for x in iterable]
+
+    monkeypatch.setattr(ksum.sweeps, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["verify", "--field", "p=3,n=4", "--check", "mod27", "--all",
+            "--format", "json-lines", "--records", "all"]
+    assert main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert created == []
+    assert main(args + ["--jobs", "1000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert created == [2]
+    assert main(["verify", "--field", "p=3,n=4", "--check", "mod27",
+                 "--a", "1,0,0,0", "--jobs", "1000"]) == 0
+    capsys.readouterr()
+    assert created == [2]
+
+
+_START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from ksum.cli import main
+if __name__ == "__main__":
+    if sys.argv[1] != "default":
+        multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_spawn_start_method_gives_same_stdout():
+    src = str(Path(ksum.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["verify", "--field", "p=3,n=4", "--check", "fourier", "--all",
+            "--jobs", "2", "--format", "json-lines", "--records", "all"]
+    outputs = {}
+    for method in ("default", "spawn"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_METHOD_SCRIPT, method, *args],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[method] = proc.stdout
+    assert outputs["spawn"] == outputs["default"]
+    assert outputs["spawn"].count("\n") == 82

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ksum.ff
 from ksum.ff import (ExponentSet, FieldError, build_subset, custom_subset,
                      legendre, make_field, power_sum)
 
@@ -172,11 +173,28 @@ def lex_first_default(p, n):
     raise AssertionError("no primitive polynomial found")
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [
+    (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (5, 2), (5, 3), (5, 4),
+    (7, 2), (7, 3), (11, 2), (13, 2),
+])
 def test_default_modulus_matches_oracle(p, n):
     ctx = make_field(p, n)
     assert ctx.modulus == lex_first_default(p, n)
     assert ctx.generator.coeffs == tuple([0, 1] + [0] * (n - 2))
+
+
+def test_default_search_skips_non_primitive_norms(monkeypatch):
+    # at p = 3, n = 8 the norm (-1)^8 * c0 = c0 must be 2, the only
+    # primitive root mod 3, so every candidate with c0 = 0 or 1 is skipped
+    tried = []
+
+    def recording(x, modulus, p, q, radical, _real=ksum.ff._has_full_order):
+        tried.append(modulus)
+        return _real(x, modulus, p, q, radical)
+    monkeypatch.setattr(ksum.ff, "_has_full_order", recording)
+    ctx = make_field(3, 8)
+    assert tried and tried[-1] == ctx.modulus
+    assert {mod[0] for mod in tried} == {2}
 
 
 def test_default_modulus_f27_frozen(f27):

@@ -81,7 +81,7 @@ def test_min_poly_degree_one_when_orbit_collapses(f25):
     assert res.multiplicity == 2
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2), (5, 1), (7, 1), (11, 1)])
 def test_conjugate_product_mod_p2_exhaustive(p, n):
     ctx = make_field(p, n)
     for a in ctx.elements():
@@ -89,6 +89,13 @@ def test_conjugate_product_mod_p2_exhaustive(p, n):
         assert rep.passed, (a, rep)
         assert rep.modulus == p * p
         assert rep.subject == "thm1"
+
+
+def test_conjugate_product_rejects_ternary_prime_field():
+    # at p = 3 the product is K(a) alone: the mod-9 law, which needs n > 1
+    ctx = make_field(3, 1)
+    with pytest.raises(ValueError, match="at p = 3 requires n > 1"):
+        check_conjugate_product(ctx, ctx.one())
 
 
 def test_conjugate_product_zero_trace_case(f27):

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ksum.padic
 from ksum.ff import build_subset, make_field, power_sum
 from ksum.kloos import CongruenceReport, InternalCheckError, kloosterman
-from ksum.padic import (PadicInt, PiMonomial, check_fourier_mod27,
-                        check_gauss_square_mod27, check_stickelberger,
+from ksum.padic import (PadicInt, PiMonomial, _lifted_digit_sum,
+                        check_fourier_mod27, check_gauss_square_mod27,
+                        check_stickelberger,
                         gamma_p, gauss_square_mod27, gauss_sum,
                         identity_reports, lift_field, lifted_power_sum,
                         p_weight, padic_from_rational, teichmuller)
@@ -53,6 +53,9 @@ def test_from_rational():
     assert padic_from_rational(9, 26, 3, 3).residue == 18
     with pytest.raises(ValueError):
         padic_from_rational(1, 3, 3, 3)
+    for precision in (0, -1):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            padic_from_rational(1, 2, 3, precision)
 
 
 @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
@@ -307,12 +310,13 @@ def test_fourier_matches_reference_engine(n, modulus, precision):
         assert check_fourier_mod27(uctx, a) == reference_fourier(uctx, gsq, a), a
 
 
-def _lift_generator_naively(monkeypatch, ctx):
-    monkeypatch.setattr(ksum.padic, "_teich_generator",
-                        lambda uctx: uctx.from_field(uctx.field.generator))
+def _lift_generator_naively(monkeypatch, uctx):
+    monkeypatch.setattr(uctx, "teich_generator",
+                        uctx.element(uctx.field.generator.coeffs))
 
 
-def _swap_log_table_entries(monkeypatch, ctx):
+def _swap_log_table_entries(monkeypatch, uctx):
+    ctx = uctx.field
     exp = list(ctx.tables.exp)
     exp[5], exp[6] = exp[6], exp[5]
     monkeypatch.setattr(ctx, "tables", ctx.tables._replace(exp=exp))
@@ -325,13 +329,9 @@ def _swap_log_table_entries(monkeypatch, ctx):
 def test_fourier_rejects_corrupt_power_table(monkeypatch, corrupt, message):
     ctx = make_field(3, 3)
     uctx = lift_field(ctx, 3)
-    corrupt(monkeypatch, ctx)
-    ksum.padic._teich_power_table.cache_clear()
-    try:
-        with pytest.raises(InternalCheckError, match=message):
-            check_fourier_mod27(uctx, ctx.element((1, 1, 0)))
-    finally:
-        ksum.padic._teich_power_table.cache_clear()
+    corrupt(monkeypatch, uctx)
+    with pytest.raises(InternalCheckError, match=message):
+        check_fourier_mod27(uctx, ctx.element((1, 1, 0)))
 
 
 def test_identities_exhaustive_q27(f27):
@@ -347,3 +347,19 @@ def test_identities_exhaustive_q27(f27):
         "identities/lift-reduces-Y", "identities/lift-reduces-Z",
         "identities/teich-mult",
     }
+
+
+@pytest.mark.parametrize("n,modulus,precision", [
+    (3, None, 3), (4, None, 3), (4, (1, 1, 1, 1, 1), 5),
+])
+def test_lifted_digit_sum_matches_lifted_power_sum(n, modulus, precision):
+    # the identity bundle's digit products against direct powers teich(a)^s
+    ctx = make_field(3, n, modulus)
+    uctx = lift_field(ctx, precision)
+    for a in ctx.elements():
+        b = [teichmuller(uctx, a) ** (3 ** i) for i in range(n)]
+        by_digit = (None, b, [e * e for e in b])
+        for kind in "WXYZ":
+            subset = build_subset(ctx, kind)
+            assert (_lifted_digit_sum(uctx, by_digit, subset)
+                    == lifted_power_sum(uctx, subset, a)), (a, kind)
