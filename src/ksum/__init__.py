@@ -10,10 +10,10 @@ from .cyclo import CycInt, IntPolynomial, NonRationalCoefficient, product_linear
 from .ff import ExponentSet, FFElem, FieldCtx, FieldError, build_subset, \
     custom_subset, legendre, make_field, power_sum
 from .kloos import CongruenceReport, InternalCheckError, KloostermanValue, \
-    MinPolyResult, char_poly, check_conjugate_product, check_min_poly_degree, \
+    MinPolyResult, check_conjugate_product, check_min_poly_degree, \
     check_min_poly_reduction, check_mod9, check_mod27, check_weil_bound, \
     conjugate_family, kloosterman, min_poly
-from .padic import GammaArgument, PadicInt, PiMonomial, UnramCtx, UnramElem, \
+from .padic import PadicInt, PiMonomial, UnramCtx, UnramElem, \
     check_fourier_mod27, check_gauss_square_mod27, check_stickelberger, \
     gamma_p, gauss_sum, gauss_square_mod27, identity_reports, lift_field, \
     lifted_power_sum, p_weight, padic_from_rational, teichmuller
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECKS", "CongruenceReport", "CycInt", "ExponentSet", "FFElem",
-    "FieldCtx", "FieldError", "GammaArgument", "IntPolynomial",
+    "FieldCtx", "FieldError", "IntPolynomial",
     "InternalCheckError", "JobError", "KloostermanValue", "MinPolyResult",
     "NonRationalCoefficient", "PadicInt", "PiMonomial", "SweepReport",
-    "UnramCtx", "UnramElem", "VerificationJob", "build_subset", "char_poly",
+    "UnramCtx", "UnramElem", "VerificationJob", "build_subset",
     "check_conjugate_product", "check_fourier_mod27",
     "check_gauss_square_mod27", "check_min_poly_degree",
     "check_min_poly_reduction", "check_mod9", "check_mod27",

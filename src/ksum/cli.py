@@ -119,7 +119,7 @@ def _cmd_minpoly(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     ctx, a = _element_from_args(args)
-    poly = kloos.char_poly(ctx, a)
+    poly = kloos.min_poly(ctx, a).char_poly
     return _show(args, {"a": list(a.coeffs), "char_poly": _poly_payload(poly)}, [str(poly)])
 
 
@@ -128,9 +128,8 @@ def _cmd_gauss(args) -> int:
     uctx = padic.lift_field(ctx, args.precision)
     g = padic.gauss_sum(uctx, args.j)
     wt = padic.p_weight(args.j, ctx.p)
-    arguments = padic._gamma_arguments(uctx, args.j)
-    fracs = [str(arg.rational) for arg in arguments]
-    gammas = [padic.gamma_p(arg.residue).residue for arg in arguments]
+    fracs = [str(f) for f in padic._gamma_arguments(uctx, args.j)]
+    gammas = [v.residue for v in padic._gamma_values(uctx, args.j)]
     return _show(args, {
         "j": args.j, "weight": wt, "fractions": fracs, "gammas": gammas,
         "pi_exponent": g.pi_exponent, "unit": list(g.unit.coords),

@@ -137,16 +137,25 @@ class ExponentSet:
     """Subset of Z/(q-1)Z closed under multiplication by p.
 
     Closure under s -> p*s guarantees the associated power sum lands in the
-    prime field.  The named kinds index exponents by base-p digit pattern;
-    for p = 3 they drive the mod-27 classification.
+    prime field; it is checked once, when the set is made.  The named kinds
+    index exponents by base-p digit pattern; for p = 3 they drive the mod-27
+    classification.
     """
 
+    p: int
+    q: int
     exponents: tuple[int, ...]
     kind: str
 
-    @cached_property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.exponents)
+    def __post_init__(self) -> None:
+        m = self.q - 1
+        members = set(self.exponents)
+        for s in self.exponents:
+            if not 0 <= s < m:
+                raise FieldError(f"exponent {s} outside [0, {m})")
+            if (s * self.p) % m not in members:
+                raise FieldError(
+                    f"exponent set {self.kind!r} is not closed under s -> p*s mod q-1")
 
 
 class FieldTables(NamedTuple):
@@ -355,17 +364,6 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     raise FieldError("no generator found")  # unreachable for a field
 
 
-def _require_closed(ctx: FieldCtx, subset: ExponentSet) -> None:
-    m = ctx.q - 1
-    members = subset.member_set
-    for s in subset.exponents:
-        if not 0 <= s < m:
-            raise FieldError(f"exponent {s} outside [0, {m})")
-        if (s * ctx.p) % m not in members:
-            raise FieldError(
-                f"exponent set {subset.kind!r} is not closed under s -> p*s mod q-1")
-
-
 @lru_cache(maxsize=None)
 def build_subset(ctx: FieldCtx, kind: str) -> ExponentSet:
     """Named exponent families, by base-p digit pattern of the exponent.
@@ -397,16 +395,12 @@ def build_subset(ctx: FieldCtx, kind: str) -> ExponentSet:
                        if i != j})
     else:
         raise FieldError(f"unknown exponent set kind {kind!r}")
-    subset = ExponentSet(tuple(exps), kind)
-    _require_closed(ctx, subset)
-    return subset
+    return ExponentSet(p, q, tuple(exps), kind)
 
 
 def custom_subset(ctx: FieldCtx, exponents: Sequence[int]) -> ExponentSet:
     """A user-defined exponent set; validated for Frobenius closure."""
-    subset = ExponentSet(tuple(sorted(set(int(e) for e in exponents))), "custom")
-    _require_closed(ctx, subset)
-    return subset
+    return ExponentSet(ctx.p, ctx.q, tuple(sorted(set(int(e) for e in exponents))), "custom")
 
 
 def power_sum(ctx: FieldCtx, subset: ExponentSet, a: FFElem) -> int:
@@ -414,8 +408,13 @@ def power_sum(ctx: FieldCtx, subset: ExponentSet, a: FFElem) -> int:
 
     Frobenius closure of the set makes the sum fixed by x -> x^p, hence a
     prime-field value.  Exponent 0 contributes 1 for every a, including 0.
+    The set must have been made for a field of the same p and q; its
+    modulus may differ, as closure does not depend on it.
     """
-    _require_closed(ctx, subset)
+    if (subset.p, subset.q) != (ctx.p, ctx.q):
+        raise FieldError(
+            f"exponent set {subset.kind!r} was made for p={subset.p}, q={subset.q}, "
+            f"not p={ctx.p}, q={ctx.q}")
     p = ctx.p
     total = [0] * ctx.n
     for s in subset.exponents:

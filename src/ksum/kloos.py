@@ -10,11 +10,12 @@ as an independent cross-check rather than the computation path.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
 
-from .cyclo import CycInt, IntPolynomial, product_linear
+from .cyclo import CycInt, IntPolynomial, NonRationalCoefficient, product_linear
 from .ff import FFElem, FieldCtx, build_subset, legendre, power_sum
 
 
@@ -89,31 +90,24 @@ def conjugate_family(ctx: FieldCtx, a: FFElem) -> tuple[KloostermanValue, ...]:
     return tuple(out)
 
 
-def char_poly(ctx: FieldCtx, a: FFElem) -> IntPolynomial:
-    """prod (x - K(i^2 a)) over i = 1..(p-1)/2, an integer polynomial."""
-    family = conjugate_family(ctx, a)
-    return product_linear([kv.value for kv in family])
-
-
 def min_poly(ctx: FieldCtx, a: FFElem) -> MinPolyResult:
-    """Minimal polynomial of K(a) over Q, with its multiplicity in char_poly."""
-    family = conjugate_family(ctx, a)
-    values = [kv.value for kv in family]
-    distinct: list[CycInt] = []
-    for v in values:
-        if v not in distinct:
-            distinct.append(v)
-    half = (ctx.p - 1) // 2
-    if half % len(distinct):
+    """Minimal polynomial of K(a) over Q, with its multiplicity in the char poly.
+
+    The conjugate family runs over the Galois orbit of K(a), each value
+    repeated equally often; that repeat count is the multiplicity, and the
+    char poly prod (x - K(i^2 a)) is the minimal polynomial to that power.
+    """
+    counts = Counter(kv.value for kv in conjugate_family(ctx, a))
+    repeats = set(counts.values())
+    if len(repeats) != 1:
         raise InternalCheckError(
-            f"orbit size {len(distinct)} does not divide {half}")
-    mult = half // len(distinct)
-    m = product_linear(distinct)
-    c = product_linear(values)
-    if m ** mult != c:
-        raise InternalCheckError(
-            "char poly is not the expected power of the minimal polynomial")
-    return MinPolyResult(m, mult, c)
+            f"conjugates repeat unequally: {sorted(counts.values())}")
+    mult = repeats.pop()
+    try:
+        m = product_linear(list(counts))
+    except NonRationalCoefficient as e:
+        raise InternalCheckError(str(e)) from e
+    return MinPolyResult(m, mult, m ** mult)
 
 
 def check_conjugate_product(ctx: FieldCtx, a: FFElem) -> CongruenceReport:

@@ -86,6 +86,11 @@ def padic_from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     return PadicInt(p, precision, num * pow(den, -1, pk))
 
 
+# gamma_p takes up to p^K loop steps; 2^27 keeps 101^4 and bounds one call
+# to about ten seconds
+GAMMA_MAX_MODULUS = 2 ** 27
+
+
 def gamma_p(x: PadicInt) -> PadicInt:
     """Morita's p-adic gamma at x, via the finite product at the residue.
 
@@ -94,6 +99,10 @@ def gamma_p(x: PadicInt) -> PadicInt:
     working precision.
     """
     p, pk = x.p, x.pk
+    if pk > GAMMA_MAX_MODULUS:
+        raise ValueError(
+            f"gamma_p loops over every residue below p^K = {p}^{x.precision}, "
+            f"which exceeds the cap 2^27; lower the precision")
     k = x.residue
     acc = 1
     for t in range(1, k):
@@ -113,18 +122,6 @@ def p_weight(j: int, p: int) -> int:
         j, r = divmod(j, p)
         w += r
     return w
-
-
-@dataclass(frozen=True)
-class GammaArgument:
-    """A fractional gamma argument with its p-adic residue."""
-
-    rational: Fraction
-    residue: PadicInt
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction, p: int, precision: int) -> GammaArgument:
-        return cls(frac, padic_from_rational(frac.numerator, frac.denominator, p, precision))
 
 
 class UnramCtx:
@@ -341,18 +338,21 @@ def lifted_power_sum(uctx: UnramCtx, subset, a: FFElem) -> UnramElem:
     return acc
 
 
-def _gamma_arguments(uctx: UnramCtx, j: int) -> tuple[GammaArgument, ...]:
+def _gamma_arguments(uctx: UnramCtx, j: int) -> tuple[Fraction, ...]:
+    """The Gross-Koblitz arguments (p^i * j mod (q-1)) / (q-1), i = 0..n-1."""
     q, p = uctx.field.q, uctx.p
+    return tuple(Fraction((p ** i * j) % (q - 1), q - 1) for i in range(uctx.n))
+
+
+def _gamma_values(uctx: UnramCtx, j: int) -> tuple[PadicInt, ...]:
+    """Gamma_p at each Gross-Koblitz argument of j, mod p^K."""
     return tuple(
-        GammaArgument.from_fraction(Fraction((p ** i * j) % (q - 1), q - 1), p, uctx.precision)
-        for i in range(uctx.n))
+        gamma_p(padic_from_rational(f.numerator, f.denominator, uctx.p, uctx.precision))
+        for f in _gamma_arguments(uctx, j))
 
 
 def _gamma_product(uctx: UnramCtx, j: int) -> PadicInt:
-    acc = PadicInt(uctx.p, uctx.precision, 1)
-    for arg in _gamma_arguments(uctx, j):
-        acc = acc * gamma_p(arg.residue)
-    return acc
+    return reduce(operator.mul, _gamma_values(uctx, j))
 
 
 def gauss_sum(uctx: UnramCtx, j: int) -> PiMonomial:
@@ -488,13 +488,14 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
     if field.n < 3:
         raise ValueError("identity bundle requires n >= 3")
     n = field.n
+    subsets = {kind: build_subset(field, kind) for kind in "WXYZ"}
     w = teichmuller(uctx, a)
     b = [w]
     for _ in range(n - 1):
         b.append(b[-1] ** 3)
     by_digit = (None, b, [e * e for e in b])
-    lifted = {kind: _lifted_digit_sum(uctx, by_digit, build_subset(field, kind))
-              for kind in "WXYZ"}
+    lifted = {kind: _lifted_digit_sum(uctx, by_digit, s) for kind, s in subsets.items()}
+    sums = {kind: power_sum(field, s, a) for kind, s in subsets.items()}
     trh, yh, zh = lifted["W"], lifted["Y"], lifted["Z"]
 
     reports = []
@@ -504,17 +505,14 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
         "identities/trace-cube", lhs, rhs, uctx.pk, lhs == rhs, a))
 
     t = field.trace(a)
-    xs = power_sum(field, build_subset(field, "X"), a)
-    zs = power_sum(field, build_subset(field, "Z"), a)
-    lhs2 = (t * xs) % 3
-    rhs2 = (t + 2 * zs) % 3
+    lhs2 = (t * sums["X"]) % 3
+    rhs2 = (t + 2 * sums["Z"]) % 3
     reports.append(CongruenceReport(
         "identities/trace-times-wt2", lhs2, rhs2, 3, lhs2 == rhs2, a))
 
     for kind in "WXYZ":
         down = lifted[kind].reduce_mod_p().coeffs
-        ts = power_sum(field, build_subset(field, kind), a)
-        expect = (ts,) + (0,) * (n - 1)
+        expect = (sums[kind],) + (0,) * (n - 1)
         reports.append(CongruenceReport(
             f"identities/lift-reduces-{kind}", down, expect, 3, down == expect, a))
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,29 @@ def test_spectrum_defect_exit_three(monkeypatch, capsys):
                             "(check spectrum, --a 0,0)\n")
 
 
+@pytest.mark.parametrize("check", ["moisio", "wan"])
+def test_non_rational_min_poly_exit_three(check, monkeypatch, capsys):
+    # move one x from trace 0 to trace 1 in the counting row of index 7 = (2, 1)
+    real = ksum.kloos._counts_by_index
+
+    def corrupted(ctx, k):
+        counts = list(real(ctx, k))
+        if k == 7:
+            counts[0] -= 1
+            counts[1] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(ksum.kloos, "_counts_by_index", corrupted)
+    rc = main(["verify", "--field", "p=5,n=2", "--check", check, "--all",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: coefficient at index 0 is not a rational integer: "
+        f"-3 + 4*z + 6*z^2 + 3*z^3 (check {check}, --a 2,1)\n")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--field", "p=4,n=2", "--check", "mod9", "--all"]) == 2
     assert main(["verify", "--field", "p=3", "--check", "mod9", "--all"]) == 2
@@ -183,6 +207,30 @@ def test_gamma_requires_odd_prime(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: p must be an odd prime, got {p}\n"
+
+
+@pytest.mark.parametrize("argv,modulus", [
+    (["verify", "--field", "p=3,n=3", "--check", "fourier", "--all",
+      "--precision", "100", "--jobs", "1"], "3^100"),
+    (["gamma", "--p", "101", "--precision", "5", "--x", "7"], "101^5"),
+    (["gauss", "--field", "p=3,n=3", "--j", "1", "--precision", "30"], "3^30"),
+])
+def test_gamma_cap_exit_two(argv, modulus, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: gamma_p loops over every residue below p^K = {modulus}, "
+        "which exceeds the cap 2^27; lower the precision\n")
+
+
+def test_gamma_just_under_cap(capsys):
+    # Gamma_p(k) = (-1)^k * prod of t < k prime to p
+    for p, precision, k, value in ((3, 17, 5, -8), (101, 4, 3, -2)):
+        assert main(["gamma", "--p", str(p), "--precision", str(precision),
+                     "--x", str(k), "--format", "json-lines"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gamma"] == value % p ** precision
 
 
 def test_gauss_json(capsys):
@@ -324,3 +372,32 @@ def test_spawn_start_method_gives_same_stdout():
         outputs[method] = proc.stdout
     assert outputs["spawn"] == outputs["default"]
     assert outputs["spawn"].count("\n") == 82
+
+
+# ------------------------------------------------------- README examples
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(heading: str) -> list[str]:
+    """The fenced code blocks of one README section."""
+    section = _README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```")[1::2]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:] for block in _readme_blocks("CLI")
+                for line in block.splitlines() if line.startswith("ksum ")]
+    assert len(commands) == 13
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert (tmp_path / "spectrum.csv").read_text().startswith("subject,")
+
+
+def test_readme_library_snippet_runs(capsys):
+    (block,) = _readme_blocks("Library")
+    assert block.startswith("python\n")
+    exec(block[len("python\n"):], {})
+    assert capsys.readouterr().out

@@ -376,7 +376,7 @@ def test_subsets_frozen_q27(f27):
 def test_subsets_are_frobenius_closed(f27):
     m = f27.q - 1
     for kind in "WXYZ":
-        s = build_subset(f27, kind).member_set
+        s = set(build_subset(f27, kind).exponents)
         assert {(3 * e) % m for e in s} == s
 
 
@@ -413,6 +413,26 @@ def test_custom_subset_closure(f27):
     assert custom_subset(f27, (0,)).exponents == (0,)  # constant term allowed
     with pytest.raises(FieldError):
         custom_subset(f27, (26,))  # 26 = q - 1 out of range
+
+
+def test_exponent_set_checks_its_closure_once_made():
+    with pytest.raises(FieldError, match="not closed"):
+        ExponentSet(3, 27, (1, 3), "custom")
+    for bad in (26, -1):
+        with pytest.raises(FieldError, match="outside"):
+            ExponentSet(3, 27, (bad,), "custom")
+    assert ExponentSet(3, 27, (1, 3, 9), "W").exponents == (1, 3, 9)
+
+
+def test_power_sum_checks_the_set_was_made_for_this_field(f9, f27):
+    with pytest.raises(FieldError, match="made for p=3, q=27"):
+        power_sum(f9, build_subset(f27, "W"), f9.one())
+    # closure does not depend on the modulus, so an isomorphic field may use the set
+    other = make_field(3, 3, (1, 2, 0, 1))
+    assert other.modulus != f27.modulus
+    x27 = build_subset(f27, "X")
+    for a in other.elements():
+        assert power_sum(other, x27, a) == power_sum(other, build_subset(other, "X"), a)
 
 
 def test_power_sum_lands_in_prime_field(f27):

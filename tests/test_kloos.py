@@ -8,9 +8,10 @@ reproduce its count vector exactly, element by element.
 
 import pytest
 
-from ksum.cyclo import CycInt
+import ksum.kloos
+from ksum.cyclo import CycInt, product_linear
 from ksum.ff import make_field
-from ksum.kloos import (char_poly, check_conjugate_product,
+from ksum.kloos import (InternalCheckError, check_conjugate_product,
                         check_min_poly_degree, check_min_poly_reduction,
                         check_mod9, check_mod27, check_weil_bound,
                         conjugate_family, kloosterman, min_poly)
@@ -59,7 +60,7 @@ def test_galois_equivariance_exhaustive_f25(f25):
 
 def test_char_poly_frozen_f25_generator(f25):
     g = f25.generator
-    poly = char_poly(f25, g)
+    poly = min_poly(f25, g).char_poly
     assert poly.coeffs == (-45, 0, 1)
     # cross-check the coefficients against the conjugate values themselves
     k1, k2 = (kv.value for kv in conjugate_family(f25, g))
@@ -79,6 +80,28 @@ def test_min_poly_degree_one_when_orbit_collapses(f25):
     res = min_poly(f25, f25.zero())
     assert res.min_poly.coeffs == (0, 1)
     assert res.multiplicity == 2
+
+
+@pytest.mark.parametrize("p,n", [
+    (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (11, 2),
+    (13, 1), (13, 2), (17, 1), (19, 1), (23, 1),
+])
+def test_char_poly_matches_expansion_of_whole_family(p, n):
+    # min_poly expands each distinct conjugate once; the oracle expands the
+    # whole family, repeats included
+    ctx = make_field(p, n)
+    for a in ctx.elements():
+        family = [kv.value for kv in conjugate_family(ctx, a)]
+        assert min_poly(ctx, a).char_poly == product_linear(family), a
+
+
+def test_min_poly_rejects_unequal_repeats(monkeypatch):
+    ctx = make_field(7, 1)
+    k1, k3 = kloosterman(ctx, ctx.one()), kloosterman(ctx, ctx.from_int(3))
+    assert k1.value != k3.value
+    monkeypatch.setattr(ksum.kloos, "conjugate_family", lambda c, a: (k1, k1, k3))
+    with pytest.raises(InternalCheckError, match="repeat unequally"):
+        min_poly(ctx, ctx.one())
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2), (5, 1), (7, 1), (11, 1)])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ksum.padic
 from ksum.ff import build_subset, make_field, power_sum
 from ksum.kloos import CongruenceReport, InternalCheckError, kloosterman
 from ksum.padic import (PadicInt, PiMonomial, _lifted_digit_sum,
@@ -347,6 +348,21 @@ def test_identities_exhaustive_q27(f27):
         "identities/lift-reduces-Y", "identities/lift-reduces-Z",
         "identities/teich-mult",
     }
+
+
+def test_identity_reports_sum_each_family_once(monkeypatch, f27):
+    kinds = []
+
+    def counted(ctx, subset, a, _real=ksum.padic.power_sum):
+        kinds.append(subset.kind)
+        return _real(ctx, subset, a)
+
+    monkeypatch.setattr(ksum.padic, "power_sum", counted)
+    uctx = lift_field(f27, 3)
+    for a in f27.elements():
+        kinds.clear()
+        identity_reports(uctx, a)
+        assert sorted(kinds) == ["W", "X", "Y", "Z"], a
 
 
 @pytest.mark.parametrize("n,modulus,precision", [
