@@ -126,10 +126,10 @@ def _cmd_charpoly(args) -> int:
 def _cmd_gauss(args) -> int:
     ctx = _field_from_args(args)
     uctx = padic.lift_field(ctx, args.precision)
-    g = padic.gauss_sum(uctx, args.j)
+    values, g = padic._gauss_sum_factors(uctx, args.j)
     wt = padic.p_weight(args.j, ctx.p)
     fracs = [str(f) for f in padic._gamma_arguments(uctx, args.j)]
-    gammas = [v.residue for v in padic._gamma_values(uctx, args.j)]
+    gammas = [v.residue for v in values]
     return _show(args, {
         "j": args.j, "weight": wt, "fractions": fracs, "gammas": gammas,
         "pi_exponent": g.pi_exponent, "unit": list(g.unit.coords),

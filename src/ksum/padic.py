@@ -351,21 +351,23 @@ def _gamma_values(uctx: UnramCtx, j: int) -> tuple[PadicInt, ...]:
         for f in _gamma_arguments(uctx, j))
 
 
-def _gamma_product(uctx: UnramCtx, j: int) -> PadicInt:
-    return reduce(operator.mul, _gamma_values(uctx, j))
+def _gauss_sum_factors(uctx: UnramCtx, j: int) -> tuple[tuple[PadicInt, ...], PiMonomial]:
+    """The Gamma_p values at the Gross-Koblitz arguments of j, and g(j).
 
-
-def gauss_sum(uctx: UnramCtx, j: int) -> PiMonomial:
-    """The Gauss sum at character index j via the Gross-Koblitz product.
-
-    Returns pi^(wt_p(j)) times the product of the gamma values, folded into
+    g(j) is pi^(wt_p(j)) times the product of the gamma values, folded into
     normal form; the encoded pi-adic valuation always equals wt_p(j).
     """
     q = uctx.field.q
     if not 1 <= j <= q - 2:
         raise ValueError(f"character index {j} outside [1, {q - 2}]")
-    wt = p_weight(j, uctx.p)
-    return PiMonomial.of(wt, uctx.from_padic(_gamma_product(uctx, j)))
+    gammas = _gamma_values(uctx, j)
+    unit = uctx.from_padic(reduce(operator.mul, gammas))
+    return gammas, PiMonomial.of(p_weight(j, uctx.p), unit)
+
+
+def gauss_sum(uctx: UnramCtx, j: int) -> PiMonomial:
+    """The Gauss sum at character index j via the Gross-Koblitz product."""
+    return _gauss_sum_factors(uctx, j)[1]
 
 
 def gauss_square_mod27(uctx: UnramCtx, j: int) -> PadicInt:
@@ -386,7 +388,7 @@ def gauss_square_mod27(uctx: UnramCtx, j: int) -> PadicInt:
 def check_stickelberger(uctx: UnramCtx, j: int) -> CongruenceReport:
     """Unit part of g(j) vs the inverse product of digit factorials, mod p."""
     p = uctx.p
-    lhs = _gamma_product(uctx, j).residue % p
+    lhs = reduce(operator.mul, _gamma_values(uctx, j)).residue % p
     fact = 1
     jj = j
     while jj:
@@ -404,14 +406,24 @@ def check_gauss_square_mod27(uctx: UnramCtx, j: int) -> CongruenceReport:
     return CongruenceReport("wt1", lhs, rhs, 27, lhs == rhs, j)
 
 
-def _power_combination(table, terms, k: int) -> list[int]:
-    """Coordinates of the sum of c * teich(g)^(s*k) over (s, c) in terms."""
+def _power_combination(uctx: UnramCtx, terms, a: FFElem) -> UnramElem:
+    """The sum of c * teich(a)^s over (s, c) in terms, every s nonzero.
+
+    teich(a)^s is read from the lift's table teich_powers, at index
+    (s * log a) mod (q-1).  At a = 0 every power is 0, so the sum is 0 and
+    the table is not built.
+    """
+    if a.is_zero():
+        return uctx.zero()
+    field = uctx.field
+    table = uctx.teich_powers
+    k = field.tables.log[field.index(a)]
     m = len(table)
-    acc = [0] * len(table[0])
+    acc = [0] * uctx.n
     for s, c in terms:
         for i, e in enumerate(table[s * k % m]):
             acc[i] += c * e
-    return acc
+    return uctx.element(acc)
 
 
 def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
@@ -422,10 +434,6 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
     21 * lifted trace + 18 * lifted weight-2 power sum.  The first path uses
     only Gauss sums and Teichmueller powers, the second only trace counting,
     so a match is a genuine cross-check.
-
-    Teichmueller powers are read from one table of teich(g)^k per lift, at
-    index (j * log a) mod (q-1).  At a = 0 every power taken is 0, as no
-    exponent in the sums is 0, and the table is not needed.
     """
     field = uctx.field
     if field.p != 3:
@@ -434,17 +442,11 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
         raise ValueError("mod-27 Fourier check requires n >= 3")
     if uctx.precision < 3:
         raise ValueError("mod-27 Fourier check requires >= 3 digits")
-    support = uctx.gauss_square_support
-    if a.is_zero():
-        acc = closed = [0] * field.n
-    else:
-        table = uctx.teich_powers
-        k = field.tables.log[field.index(a)]
-        acc = _power_combination(table, support, k)
-        closed = _power_combination(
-            table, [(s, 21) for s in build_subset(field, "W").exponents]
-            + [(s, 18) for s in build_subset(field, "X").exponents], k)
-    coords27 = tuple(-c % 27 for c in acc)
+    acc = _power_combination(uctx, uctx.gauss_square_support, a)
+    closed = _power_combination(
+        uctx, [(s, 21) for s in build_subset(field, "W").exponents]
+        + [(s, 18) for s in build_subset(field, "X").exponents], a)
+    coords27 = tuple(-c % 27 for c in acc.coords)
     if any(coords27[1:]):
         raise InternalCheckError("Fourier sum is not rational mod 27")
     lhs = coords27[0]
@@ -452,26 +454,9 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
     if rhs is None:
         raise InternalCheckError("ternary Kloosterman sum is not rational")
     rhs %= 27
-    closed27 = tuple(c % 27 for c in closed)
+    closed27 = tuple(c % 27 for c in closed.coords)
     passed = lhs == rhs and closed27 == coords27
     return CongruenceReport("fourier", lhs, rhs, 27, passed, a)
-
-
-def _lifted_digit_sum(uctx: UnramCtx, by_digit, subset) -> UnramElem:
-    """Sum of teich(a)^s over the exponents s of a p = 3 family.
-
-    by_digit[d][i] is teich(a)^(d * 3^i), so teich(a)^s is the product of
-    the entries at the nonzero base-3 digits d of s.
-    """
-    acc = uctx.zero()
-    for s in subset.exponents:
-        factors = []
-        for i in range(uctx.n):
-            s, d = divmod(s, 3)
-            if d:
-                factors.append(by_digit[d][i])
-        acc = acc + reduce(operator.mul, factors)
-    return acc
 
 
 def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
@@ -481,6 +466,10 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
     in-field product identity trace * wt2-sum = trace + 2 * wt3-doubled-sum,
     reduction of each lifted power sum to its field counterpart, and
     multiplicativity of the Teichmueller lift against the generator.
+
+    Lifted powers come from the lift's table teich_powers; teich-mult
+    compares that table's teich(a) * teich(g) with the Frobenius-iterated
+    lift of a * g.
     """
     field = uctx.field
     if field.p != 3:
@@ -489,12 +478,8 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
         raise ValueError("identity bundle requires n >= 3")
     n = field.n
     subsets = {kind: build_subset(field, kind) for kind in "WXYZ"}
-    w = teichmuller(uctx, a)
-    b = [w]
-    for _ in range(n - 1):
-        b.append(b[-1] ** 3)
-    by_digit = (None, b, [e * e for e in b])
-    lifted = {kind: _lifted_digit_sum(uctx, by_digit, s) for kind, s in subsets.items()}
+    lifted = {kind: _power_combination(uctx, [(s, 1) for s in sub.exponents], a)
+              for kind, sub in subsets.items()}
     sums = {kind: power_sum(field, s, a) for kind, s in subsets.items()}
     trh, yh, zh = lifted["W"], lifted["Y"], lifted["Z"]
 
@@ -517,7 +502,7 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
             f"identities/lift-reduces-{kind}", down, expect, 3, down == expect, a))
 
     lhs3 = teichmuller(uctx, field.mul(a, field.generator)).coords
-    rhs3 = (w * uctx.teich_generator).coords
+    rhs3 = (_power_combination(uctx, [(1, 1)], a) * uctx.teich_generator).coords
     reports.append(CongruenceReport(
         "identities/teich-mult", lhs3, rhs3, uctx.pk, lhs3 == rhs3, a))
     return tuple(reports)

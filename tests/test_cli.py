@@ -267,6 +267,47 @@ def test_one_field_build_per_run(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_gauss_computes_each_gamma_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(x, _real=ksum.padic.gamma_p):
+        calls.append(x.residue)
+        return _real(x)
+
+    monkeypatch.setattr(ksum.padic, "gamma_p", counted)
+    assert main(["gauss", "--field", "p=3,n=3", "--j", "1"]) == 0
+    assert len(calls) == 3
+    capsys.readouterr()
+
+
+def test_identities_lift_each_element_once(monkeypatch, capsys):
+    # one Frobenius lift per element for teich-mult, one for the generator
+    calls = []
+
+    def counted(uctx, a, _real=ksum.padic.teichmuller):
+        calls.append(a)
+        return _real(uctx, a)
+
+    monkeypatch.setattr(ksum.padic, "teichmuller", counted)
+    assert main(["verify", "--field", "p=3,n=3", "--check", "identities", "--all",
+                 "--jobs", "1"]) == 0
+    assert len(calls) == 27 + 1
+    capsys.readouterr()
+
+
+def test_identities_corrupt_generator_lift_exit_three(monkeypatch, capsys):
+    # the naive lift of g reduces to g but is not a root of unity; the power
+    # table teich-mult reads must stop the sweep, not fail a congruence
+    monkeypatch.setattr(ksum.padic.UnramCtx, "teich_generator", property(
+        lambda uctx: uctx.element(uctx.field.generator.coeffs)))
+    rc = main(["verify", "--field", "p=3,n=3", "--check", "identities", "--all",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("(check identities, --a 1,0,0)\n")
+
+
 # ----------------------------------------------------- output discipline
 
 def test_jobs_flag_does_not_change_stdout(capsys):

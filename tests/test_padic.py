@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ksum.padic
 from ksum.ff import build_subset, make_field, power_sum
 from ksum.kloos import CongruenceReport, InternalCheckError, kloosterman
-from ksum.padic import (PadicInt, PiMonomial, _lifted_digit_sum,
+from ksum.padic import (PadicInt, PiMonomial, _power_combination,
                         check_fourier_mod27, check_gauss_square_mod27,
                         check_stickelberger,
                         gamma_p, gauss_square_mod27, gauss_sum,
@@ -367,15 +367,17 @@ def test_identity_reports_sum_each_family_once(monkeypatch, f27):
 
 @pytest.mark.parametrize("n,modulus,precision", [
     (3, None, 3), (4, None, 3), (4, (1, 1, 1, 1, 1), 5),
+    (3, None, 1), (4, None, 1), (4, (1, 1, 1, 1, 1), 1),
 ])
 def test_lifted_digit_sum_matches_lifted_power_sum(n, modulus, precision):
-    # the identity bundle's digit products against direct powers teich(a)^s
+    # the table sums over the digit-weight families W, X, Y, Z and the
+    # teich-mult rhs against direct powers of Frobenius-iterated lifts
     ctx = make_field(3, n, modulus)
     uctx = lift_field(ctx, precision)
     for a in ctx.elements():
-        b = [teichmuller(uctx, a) ** (3 ** i) for i in range(n)]
-        by_digit = (None, b, [e * e for e in b])
         for kind in "WXYZ":
             subset = build_subset(ctx, kind)
-            assert (_lifted_digit_sum(uctx, by_digit, subset)
+            assert (_power_combination(uctx, [(s, 1) for s in subset.exponents], a)
                     == lifted_power_sum(uctx, subset, a)), (a, kind)
+        rhs = {r.subject: r.rhs for r in identity_reports(uctx, a)}["identities/teich-mult"]
+        assert rhs == (teichmuller(uctx, a) * uctx.teich_generator).coords, a
