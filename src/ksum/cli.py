@@ -145,16 +145,14 @@ def _cmd_gauss(args) -> int:
 def _cmd_gamma(args) -> int:
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"p must be an odd prime, got {args.p}")
-    if "/" in args.x:
-        num, _, den = args.x.partition("/")
-        num, den = int(num), int(den)
-        if den == 0:
-            raise ValueError("zero denominator")
-        frac = Fraction(num, den)
-        value = padic.padic_from_rational(frac.numerator, frac.denominator,
-                                          args.p, args.precision)
-    else:
-        value = padic.PadicInt(args.p, args.precision, int(args.x))
+    num, slash, den = args.x.partition("/")
+    num, den = int(num), int(den) if slash else 1
+    if den == 0:
+        raise ValueError("zero denominator")
+    padic._check_gamma_modulus(args.p, args.precision)
+    frac = Fraction(num, den)
+    value = padic.padic_from_rational(frac.numerator, frac.denominator,
+                                      args.p, args.precision)
     out = padic.gamma_p(value)
     return _show(args, {"p": args.p, "precision": args.precision,
                         "argument": value.residue, "gamma": out.residue},

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Union
 
 from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
@@ -86,9 +86,40 @@ def padic_from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     return PadicInt(p, precision, num * pow(den, -1, pk))
 
 
-# gamma_p takes up to p^K loop steps; 2^27 keeps 101^4 and bounds one call
-# to about ten seconds
+# one process pays at most one pass over the residues below p^K for each
+# (p, K), then fewer than p^ceil(K/2) steps per gamma_p call; 2^27 keeps
+# 101^4 and bounds that pass to about ten seconds
 GAMMA_MAX_MODULUS = 2 ** 27
+
+
+def _check_gamma_modulus(p: int, precision: int) -> None:
+    """Refuse p^K above GAMMA_MAX_MODULUS, deciding from p and K alone.
+
+    Any K past the cap's bit length is over it for every p >= 2, so a huge
+    precision never forms p^K.
+    """
+    if precision >= GAMMA_MAX_MODULUS.bit_length() or p ** precision > GAMMA_MAX_MODULUS:
+        raise ValueError(
+            f"gamma_p loops over every residue below p^K = {p}^{precision}, "
+            f"which exceeds the cap 2^27; lower the precision")
+
+
+def _unit_product(acc: int, lo: int, hi: int, p: int, pk: int) -> int:
+    """acc times every t in [lo, hi) coprime to p, mod pk."""
+    for t in range(lo, hi):
+        if t % p:
+            acc = acc * t % pk
+    return acc
+
+
+@lru_cache(maxsize=8)
+def _gamma_table(p: int, precision: int) -> list[int]:
+    """Checkpoints of gamma_p's product for one (p, K), grown by gamma_p.
+
+    Entry m is the product of the t < m * B coprime to p, mod p^K, with
+    B = p^ceil(K/2); the list starts at the empty product.
+    """
+    return [1]
 
 
 def gamma_p(x: PadicInt) -> PadicInt:
@@ -96,21 +127,26 @@ def gamma_p(x: PadicInt) -> PadicInt:
 
     Gamma(k) = (-1)^k * prod of t < k coprime to p.  Continuity mod p^K
     (for p^K != 4) makes the value at the residue class exact to the full
-    working precision.
+    working precision.  The product starts from the last checkpoint of the
+    (p, K) table at or below k, which first grows to reach it; so a process
+    passes over the residues below its largest argument once, and each call
+    then takes fewer than p^ceil(K/2) steps.
     """
-    p, pk = x.p, x.pk
-    if pk > GAMMA_MAX_MODULUS:
-        raise ValueError(
-            f"gamma_p loops over every residue below p^K = {p}^{x.precision}, "
-            f"which exceeds the cap 2^27; lower the precision")
-    k = x.residue
-    acc = 1
-    for t in range(1, k):
-        if t % p:
-            acc = acc * t % pk
+    p, precision = x.p, x.precision
+    _check_gamma_modulus(p, precision)
+    pk, k = x.pk, x.residue
+    block = p ** -(-precision // 2)
+    table = _gamma_table(p, precision)
+    m = k // block
+    while len(table) <= m:
+        i = len(table)
+        lo = (i - 1) * block
+        # a slice write, not append: a concurrent grower stores the same value
+        table[i:i + 1] = [_unit_product(table[i - 1], lo, lo + block, p, pk)]
+    acc = _unit_product(table[m], m * block, k, p, pk)
     if k & 1:
         acc = -acc
-    return PadicInt(x.p, x.precision, acc)
+    return PadicInt(p, precision, acc)
 
 
 def p_weight(j: int, p: int) -> int:
@@ -138,8 +174,13 @@ class UnramCtx:
         self.p = field.p
         self.n = field.n
         self.precision = precision
-        self.pk = field.p ** precision
         self.modulus = field.modulus
+
+    @cached_property
+    def pk(self) -> int:
+        # formed on first use, so a Gauss-sum check refuses an over-cap
+        # precision before it pays for p^K
+        return self.p ** self.precision
 
     def __repr__(self) -> str:
         return f"UnramCtx(p={self.p}, n={self.n}, precision={self.precision})"
@@ -346,6 +387,7 @@ def _gamma_arguments(uctx: UnramCtx, j: int) -> tuple[Fraction, ...]:
 
 def _gamma_values(uctx: UnramCtx, j: int) -> tuple[PadicInt, ...]:
     """Gamma_p at each Gross-Koblitz argument of j, mod p^K."""
+    _check_gamma_modulus(uctx.p, uctx.precision)
     return tuple(
         gamma_p(padic_from_rational(f.numerator, f.denominator, uctx.p, uctx.precision))
         for f in _gamma_arguments(uctx, j))

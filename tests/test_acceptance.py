@@ -96,8 +96,9 @@ def test_criterion_05_fourier_three_way_cross_check():
 
 def test_criterion_06_gamma_product_unit_congruence():
     failures, cases = [], 0
-    for p, n in ((3, 3), (3, 4), (5, 2), (7, 2)):
-        uctx = lift_field(field(p, n), 2)
+    for p, n, precision in ((3, 3, 2), (3, 4, 2), (5, 2, 2), (7, 2, 2),
+                            (11, 3, 4), (101, 2, 2)):
+        uctx = lift_field(field(p, n), precision)
         for j in range(1, p ** n - 1):
             rep = check_stickelberger(uctx, j)
             cases += 1

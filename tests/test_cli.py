@@ -209,12 +209,15 @@ def test_gamma_requires_odd_prime(capsys):
         assert captured.err == f"error: p must be an odd prime, got {p}\n"
 
 
-@pytest.mark.parametrize("argv,modulus", [
+_OVER_CAP = [
     (["verify", "--field", "p=3,n=3", "--check", "fourier", "--all",
       "--precision", "100", "--jobs", "1"], "3^100"),
     (["gamma", "--p", "101", "--precision", "5", "--x", "7"], "101^5"),
     (["gauss", "--field", "p=3,n=3", "--j", "1", "--precision", "30"], "3^30"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,modulus", _OVER_CAP)
 def test_gamma_cap_exit_two(argv, modulus, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -222,6 +225,31 @@ def test_gamma_cap_exit_two(argv, modulus, capsys):
     assert captured.err == (
         f"error: gamma_p loops over every residue below p^K = {modulus}, "
         "which exceeds the cap 2^27; lower the precision\n")
+
+
+@pytest.mark.parametrize("argv,modulus", _OVER_CAP + [
+    (["gamma", "--p", "3", "--precision", "40", "--x", "1/2"], "3^40"),
+    (["verify", "--field", "p=3,n=3", "--check", "stickelberger", "--j", "1",
+      "--precision", "30"], "3^30"),
+])
+def test_gamma_cap_builds_no_padic_value(argv, modulus, monkeypatch, capsys):
+    """The cap is decided from (p, K) before any p-adic value forms p^K."""
+    built = []
+    real_post_init = ksum.padic.PadicInt.__post_init__
+
+    def counted_post_init(self):
+        built.append("PadicInt")
+        real_post_init(self)
+
+    def counted_from_rational(*args, _real=ksum.padic.padic_from_rational):
+        built.append("padic_from_rational")
+        return _real(*args)
+
+    monkeypatch.setattr(ksum.padic.PadicInt, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ksum.padic, "padic_from_rational", counted_from_rational)
+    assert main(argv) == 2
+    assert f"p^K = {modulus}," in capsys.readouterr().err
+    assert built == []
 
 
 def test_gamma_just_under_cap(capsys):
@@ -430,7 +458,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = [shlex.split(line)[1:] for block in _readme_blocks("CLI")
                 for line in block.splitlines() if line.startswith("ksum ")]
-    assert len(commands) == 13
+    assert len(commands) == 14
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()

@@ -87,6 +87,34 @@ def test_gamma_matches_recurrence_oracle():
             assert got == oracle_gamma(k, p, pk), (p, precision, k)
 
 
+def _gamma_from_empty_table(p, precision, ks):
+    ksum.padic._gamma_table.cache_clear()
+    return {k: gamma_p(PadicInt(p, precision, k)).residue for k in ks}
+
+
+@pytest.mark.parametrize("p,precision", [(3, 5), (3, 6), (5, 3), (7, 3), (11, 2), (11, 3)])
+def test_gamma_table_matches_oracle_in_any_order(p, precision):
+    """Every residue, from an empty table, ascending, descending and shuffled."""
+    pk = p ** precision
+    expect = {k: oracle_gamma(k, p, pk) for k in range(pk)}
+    shuffled = list(range(pk))
+    random.Random(p * 100 + precision).shuffle(shuffled)
+    for order in (range(pk), range(pk - 1, -1, -1), shuffled):
+        assert _gamma_from_empty_table(p, precision, order) == expect, (p, precision)
+
+
+@pytest.mark.parametrize("p,precision", [(3, 9), (5, 6), (7, 5), (11, 4)])
+def test_gamma_table_block_boundaries(p, precision):
+    """k = m*B - 1, m*B, m*B + 1 at B = p^ceil(K/2), and k = p^K - 1."""
+    pk = p ** precision
+    block = p ** -(-precision // 2)
+    ks = sorted({m * block + d for m in (1, 2, 3, pk // block - 1) for d in (-1, 0, 1)}
+                | {pk - 1})
+    expect = {k: oracle_gamma(k, p, pk) for k in ks}
+    for order in (ks, ks[::-1]):
+        assert _gamma_from_empty_table(p, precision, order) == expect, (p, precision)
+
+
 def test_gamma_wilson_value():
     # Gamma_p(p) = -(p-1)! and Wilson gives (p-1)! = -1 mod p
     for p in (3, 5, 7, 11, 13):
