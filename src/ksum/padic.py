@@ -86,9 +86,9 @@ def padic_from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     return PadicInt(p, precision, num * pow(den, -1, pk))
 
 
-# one process pays at most one pass over the residues below p^K for each
-# (p, K), then fewer than p^ceil(K/2) steps per gamma_p call; 2^27 keeps
-# 101^4 and bounds that pass to about ten seconds
+# a gamma_p call multiplies fewer than 2 * p^ceil(K/2) factors, the block
+# product of its (p, K) included; at K = 1 every residue is in block 0, so
+# fewer than p; 2^27 keeps 101^4
 GAMMA_MAX_MODULUS = 2 ** 27
 
 
@@ -100,8 +100,7 @@ def _check_gamma_modulus(p: int, precision: int) -> None:
     """
     if precision >= GAMMA_MAX_MODULUS.bit_length() or p ** precision > GAMMA_MAX_MODULUS:
         raise ValueError(
-            f"gamma_p loops over every residue below p^K = {p}^{precision}, "
-            f"which exceeds the cap 2^27; lower the precision")
+            f"gamma_p needs p^K <= 2^27, got p^K = {p}^{precision}; lower the precision")
 
 
 def _unit_product(acc: int, lo: int, hi: int, p: int, pk: int) -> int:
@@ -113,13 +112,16 @@ def _unit_product(acc: int, lo: int, hi: int, p: int, pk: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _gamma_table(p: int, precision: int) -> list[int]:
-    """Checkpoints of gamma_p's product for one (p, K), grown by gamma_p.
+def _gamma_block_product(p: int, precision: int) -> int:
+    """c, the product of the t < B coprime to p, mod p^K, with B = p^ceil(K/2).
 
-    Entry m is the product of the t < m * B coprime to p, mod p^K, with
-    B = p^ceil(K/2); the list starts at the empty product.
+    Every block [mB, mB + B) has the same unit product c mod p^K.  For the
+    units s < B, prod(mB + s) = prod(s) * (1 + mB * sum(1/s)) mod B^2, and
+    B^2 = 0 mod p^K.  The inverses mod B permute the units, whose sum
+    B * phi(B) / 2 is 0 mod B once B > 2; B = 2 only at p^K <= 4, where
+    every residue lies in block 0 or 1.
     """
-    return [1]
+    return _unit_product(1, 0, p ** -(-precision // 2), p, p ** precision)
 
 
 def gamma_p(x: PadicInt) -> PadicInt:
@@ -127,23 +129,17 @@ def gamma_p(x: PadicInt) -> PadicInt:
 
     Gamma(k) = (-1)^k * prod of t < k coprime to p.  Continuity mod p^K
     (for p^K != 4) makes the value at the residue class exact to the full
-    working precision.  The product starts from the last checkpoint of the
-    (p, K) table at or below k, which first grows to reach it; so a process
-    passes over the residues below its largest argument once, and each call
-    then takes fewer than p^ceil(K/2) steps.
+    working precision.  At k = mB + r with B = p^ceil(K/2), the product is
+    c^m times the units in [mB, k), with c the cached block product of
+    (p, K), formed at the first call with m > 0: one pow and fewer than B
+    further factors per call.
     """
     p, precision = x.p, x.precision
     _check_gamma_modulus(p, precision)
     pk, k = x.pk, x.residue
-    block = p ** -(-precision // 2)
-    table = _gamma_table(p, precision)
-    m = k // block
-    while len(table) <= m:
-        i = len(table)
-        lo = (i - 1) * block
-        # a slice write, not append: a concurrent grower stores the same value
-        table[i:i + 1] = [_unit_product(table[i - 1], lo, lo + block, p, pk)]
-    acc = _unit_product(table[m], m * block, k, p, pk)
+    m, r = divmod(k, p ** -(-precision // 2))
+    acc = pow(_gamma_block_product(p, precision), m, pk) if m else 1
+    acc = _unit_product(acc, k - r, k, p, pk)
     if k & 1:
         acc = -acc
     return PadicInt(p, precision, acc)
@@ -518,6 +514,11 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
         raise ValueError("identity bundle requires p = 3")
     if field.n < 3:
         raise ValueError("identity bundle requires n >= 3")
+    # the lifts' cost grows faster than K (n = 3: K = 300 takes about 1.3 s,
+    # K = 1000 about 17 s); refuse before any lift forms p^K
+    if uctx.precision > 300:
+        raise ValueError(
+            f"identity bundle requires precision <= 300, got {uctx.precision}")
     n = field.n
     subsets = {kind: build_subset(field, kind) for kind in "WXYZ"}
     lifted = {kind: _power_combination(uctx, [(s, 1) for s in sub.exponents], a)

@@ -223,8 +223,7 @@ def test_gamma_cap_exit_two(argv, modulus, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: gamma_p loops over every residue below p^K = {modulus}, "
-        "which exceeds the cap 2^27; lower the precision\n")
+        f"error: gamma_p needs p^K <= 2^27, got p^K = {modulus}; lower the precision\n")
 
 
 @pytest.mark.parametrize("argv,modulus", _OVER_CAP + [
@@ -248,7 +247,7 @@ def test_gamma_cap_builds_no_padic_value(argv, modulus, monkeypatch, capsys):
     monkeypatch.setattr(ksum.padic.PadicInt, "__post_init__", counted_post_init)
     monkeypatch.setattr(ksum.padic, "padic_from_rational", counted_from_rational)
     assert main(argv) == 2
-    assert f"p^K = {modulus}," in capsys.readouterr().err
+    assert f"got p^K = {modulus};" in capsys.readouterr().err
     assert built == []
 
 
@@ -321,6 +320,24 @@ def test_identities_lift_each_element_once(monkeypatch, capsys):
                  "--jobs", "1"]) == 0
     assert len(calls) == 27 + 1
     capsys.readouterr()
+
+
+def test_identities_precision_bound_exit_two(monkeypatch, capsys):
+    # refused before any element is lifted; a lift at this K would not finish,
+    # so the counter stops the run at the first one
+    calls = []
+
+    def counted(uctx, a):
+        calls.append(a)
+        raise AssertionError("an element was lifted")
+
+    monkeypatch.setattr(ksum.padic, "teichmuller", counted)
+    assert main(["verify", "--field", "p=3,n=3", "--check", "identities", "--all",
+                 "--precision", "10000000", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identity bundle requires precision <= 300, got 10000000\n"
+    assert calls == []
 
 
 def test_identities_corrupt_generator_lift_exit_three(monkeypatch, capsys):

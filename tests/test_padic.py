@@ -7,6 +7,7 @@ Teichmuller lifts are pinned by their defining properties, which determine
 them uniquely: reduction, (q-1)-th root of unity, multiplicativity.
 """
 
+import math
 import random
 
 import pytest
@@ -29,6 +30,14 @@ def oracle_gamma(k, p, pk):
     for t in range(k):
         acc = (-acc * (t if t % p else 1)) % pk
     return acc
+
+
+def oracle_gamma_ladder(p, pk):
+    """oracle_gamma at every k < pk, one recurrence step apart."""
+    values = [1]
+    for t in range(pk - 1):
+        values.append(-values[-1] * (t if t % p else 1) % pk)
+    return values
 
 
 # ------------------------------------------------------------- PadicInt
@@ -87,20 +96,21 @@ def test_gamma_matches_recurrence_oracle():
             assert got == oracle_gamma(k, p, pk), (p, precision, k)
 
 
-def _gamma_from_empty_table(p, precision, ks):
-    ksum.padic._gamma_table.cache_clear()
+def _gamma_from_cold_cache(p, precision, ks):
+    ksum.padic._gamma_block_product.cache_clear()
     return {k: gamma_p(PadicInt(p, precision, k)).residue for k in ks}
 
 
-@pytest.mark.parametrize("p,precision", [(3, 5), (3, 6), (5, 3), (7, 3), (11, 2), (11, 3)])
+@pytest.mark.parametrize("p,precision", [(3, 1), (11, 1), (101, 1), (3, 5), (3, 6),
+                                         (5, 3), (7, 3), (11, 2), (11, 3), (101, 2)])
 def test_gamma_table_matches_oracle_in_any_order(p, precision):
-    """Every residue, from an empty table, ascending, descending and shuffled."""
+    """Every residue, from a cold (p, K) cache, ascending, descending and shuffled."""
     pk = p ** precision
-    expect = {k: oracle_gamma(k, p, pk) for k in range(pk)}
+    expect = dict(enumerate(oracle_gamma_ladder(p, pk)))
     shuffled = list(range(pk))
     random.Random(p * 100 + precision).shuffle(shuffled)
     for order in (range(pk), range(pk - 1, -1, -1), shuffled):
-        assert _gamma_from_empty_table(p, precision, order) == expect, (p, precision)
+        assert _gamma_from_cold_cache(p, precision, order) == expect, (p, precision)
 
 
 @pytest.mark.parametrize("p,precision", [(3, 9), (5, 6), (7, 5), (11, 4)])
@@ -112,14 +122,49 @@ def test_gamma_table_block_boundaries(p, precision):
                 | {pk - 1})
     expect = {k: oracle_gamma(k, p, pk) for k in ks}
     for order in (ks, ks[::-1]):
-        assert _gamma_from_empty_table(p, precision, order) == expect, (p, precision)
+        assert _gamma_from_cold_cache(p, precision, order) == expect, (p, precision)
+
+
+@pytest.mark.parametrize("p,precision", [(3, 1), (3, 4), (3, 9), (5, 3), (7, 4),
+                                         (11, 3), (101, 2)])
+def test_gamma_every_block_has_the_same_unit_product(p, precision):
+    """The units of each [m*B, m*B + B) multiply to c mod p^K, so c^m replaces them."""
+    pk = p ** precision
+    block = p ** -(-precision // 2)
+    c = ksum.padic._gamma_block_product(p, precision)
+    for lo in range(0, pk, block):
+        assert ksum.padic._unit_product(1, lo, lo + block, p, pk) == c, (p, precision, lo)
+
+
+@pytest.mark.parametrize("p,precision,k,bound", [
+    (101, 4, 101 ** 4 - 5, 2 * 101 ** 2),   # c, then fewer than B: not ~10^8 factors
+    (131071, 1, 5, 6),                       # block 0 never forms c
+])
+def test_gamma_single_call_cost(p, precision, k, bound, monkeypatch):
+    """A cold call multiplies fewer than `bound` factors through _unit_product."""
+    walked = []
+
+    def counted(acc, lo, hi, p, pk, _real=ksum.padic._unit_product):
+        walked.append(hi - lo)
+        if sum(walked) >= bound:
+            raise AssertionError(f"walked {sum(walked)} factors, bound {bound}")
+        return _real(acc, lo, hi, p, pk)
+
+    monkeypatch.setattr(ksum.padic, "_unit_product", counted)
+    ksum.padic._gamma_block_product.cache_clear()
+    pk = p ** precision
+    got = gamma_p(PadicInt(p, precision, k)).residue
+    # reflection: Gamma(k) Gamma(1 - k) = (-1)^(k mod p) for a unit k
+    assert got * oracle_gamma((1 - k) % pk, p, pk) % pk == (pk - 1 if k % p % 2 else 1)
+    assert sum(walked) < bound
 
 
 def test_gamma_wilson_value():
-    # Gamma_p(p) = -(p-1)! and Wilson gives (p-1)! = -1 mod p
-    for p in (3, 5, 7, 11, 13):
-        got = gamma_p(PadicInt(p, 1, p)).residue
-        assert got == 1
+    # Gamma_p(p) = -(p-1)!, and Wilson gives (p-1)! = -1 mod p
+    for p, value in ((3, 7), (5, 1), (7, 15), (11, 111), (13, 1)):
+        got = gamma_p(PadicInt(p, 2, p)).residue
+        assert got == -math.factorial(p - 1) % p ** 2 == value
+        assert got % p == 1
 
 
 @given(st.integers(0, 2 ** 32 - 1))
