@@ -5,6 +5,12 @@ seeded sample).  `Pool.map` splits the witnesses into contiguous chunks,
 one per worker, and returns the results in witness order, so output is
 byte-identical regardless of worker count.  Wall time is tracked on the
 report but never written to the output stream for the same reason.
+
+A check flagged `orbit` reports the same values at a and a^p (elements)
+or at j and p*j mod q-1 (Gauss indices).  Its `--all` sweep evaluates
+only the least index of each Frobenius orbit, then gives every member its
+representative's reports with the member as witness, in index order.
+`--a`, `--j` and `--sample` evaluate exactly the indices they name.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import Pool
 from typing import Callable, Optional, TextIO
@@ -59,7 +65,10 @@ class CheckDef:
     aggregate domain, the counting row the aggregator consumes).  It looks
     its check function up at call time, so a rebound module attribute is
     what every sweep calls.  `precision` is (default, minimum) lift digits,
-    or None when the check needs no p-adic lift.
+    or None when the check needs no p-adic lift.  `orbit` marks a check
+    whose reports, witness aside, are equal across a Frobenius orbit:
+    K(a^p) = K(a), Tr and the closed power sums are invariant, and
+    g(p*j) = g(j).
     """
 
     domain: str                      # element | exponent | aggregate
@@ -68,34 +77,40 @@ class CheckDef:
     min_n: int = 1
     precision: Optional[tuple[int, int]] = None
     histogram: bool = False          # tally lhs values (residue checks)
+    orbit: bool = False              # --all evaluates orbit representatives
 
 
 CHECKS: dict[str, CheckDef] = {
     "thm1": CheckDef(
-        "element", lambda c, u, i: [kloos.check_conjugate_product(c, c.element_at(i))]),
+        "element", lambda c, u, i: [kloos.check_conjugate_product(c, c.element_at(i))],
+        orbit=True),
     "mod9": CheckDef(
         "element", lambda c, u, i: [kloos.check_mod9(c, c.element_at(i))],
-        p=3, min_n=2, histogram=True),
+        p=3, min_n=2, histogram=True, orbit=True),
     "mod27": CheckDef(
         "element", lambda c, u, i: [kloos.check_mod27(c, c.element_at(i))],
-        p=3, min_n=3, histogram=True),
+        p=3, min_n=3, histogram=True, orbit=True),
     "fourier": CheckDef(
         "element", lambda c, u, i: [padic.check_fourier_mod27(u, c.element_at(i))],
-        p=3, min_n=3, precision=(3, 3)),
+        p=3, min_n=3, precision=(3, 3), orbit=True),
     "identities": CheckDef(
         "element", lambda c, u, i: list(padic.identity_reports(u, c.element_at(i))),
         p=3, min_n=3, precision=(3, 1)),
     "moisio": CheckDef(
-        "element", lambda c, u, i: [kloos.check_min_poly_reduction(c, c.element_at(i))]),
+        "element", lambda c, u, i: [kloos.check_min_poly_reduction(c, c.element_at(i))],
+        orbit=True),
     "wan": CheckDef(
-        "element", lambda c, u, i: [kloos.check_min_poly_degree(c, c.element_at(i))]),
+        "element", lambda c, u, i: [kloos.check_min_poly_degree(c, c.element_at(i))],
+        orbit=True),
     "weil": CheckDef(
-        "element", lambda c, u, i: [kloos.check_weil_bound(c, c.element_at(i))], p=3),
+        "element", lambda c, u, i: [kloos.check_weil_bound(c, c.element_at(i))],
+        p=3, orbit=True),
     "stickelberger": CheckDef(
-        "exponent", lambda c, u, i: [padic.check_stickelberger(u, i)], precision=(2, 1)),
+        "exponent", lambda c, u, i: [padic.check_stickelberger(u, i)],
+        precision=(2, 1), orbit=True),
     "wt1": CheckDef(
         "exponent", lambda c, u, i: [padic.check_gauss_square_mod27(u, i)],
-        p=3, min_n=3, precision=(3, 3)),
+        p=3, min_n=3, precision=(3, 3), orbit=True),
     "spectrum": CheckDef("aggregate", lambda c, u, i: [kloos._counts_by_index(c, i)]),
 }
 
@@ -143,6 +158,29 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
         indices = sorted(random.Random(seed).sample(pool, count))
         return indices, {"kind": "sample", "count": count, "seed": seed}
     raise JobError(f"unknown scope {kind!r}")
+
+
+def _orbit_representatives(ctx: FieldCtx, domain: str, indices: list[int]) -> list[int]:
+    """The least index of each index's Frobenius orbit, in index order.
+
+    Elements move by a -> a^p, that is log a -> p * log a mod q-1 with 0
+    fixed; Gauss indices move by j -> p * j mod q-1.  `indices` is a whole
+    domain in increasing order, so the first index met in an orbit is its
+    least, and walking the cycle from it labels every member.
+    """
+    p, m = ctx.p, ctx.q - 1
+    if domain == "exponent":
+        step = lambda j: p * j % m
+    else:
+        t = ctx.tables
+        step = lambda i: t.exp[p * t.log[i] % m] if i else 0
+    least: dict[int, int] = {}
+    for i in indices:
+        k = i
+        while k not in least:
+            least[k] = i
+            k = step(k)
+    return [least[i] for i in indices]
 
 
 def _spectrum_reports(ctx: FieldCtx, counts_list: list[tuple[int, ...]]):
@@ -201,18 +239,27 @@ def run_verification(job: VerificationJob) -> SweepReport:
         raise JobError(f"check {job.check!r} takes no precision, got {job.precision}")
 
     indices, scope_echo = _resolve_scope(job, ctx, cd.domain)
+    reps = indices
+    if cd.orbit and scope_echo["kind"] == "all":
+        reps = _orbit_representatives(ctx, cd.domain, indices)
+    evaluated = [i for i, r in zip(indices, reps) if i == r]
     cpus = os.cpu_count() or 1
     workers = job.jobs if job.jobs is not None else cpus
     if workers < 1:
         raise JobError(f"worker count must be positive, got {job.jobs}")
-    workers = min(workers, cpus, len(indices))
+    workers = min(workers, cpus, len(evaluated))
     evaluate = partial(_evaluate, job.check, ctx, uctx)
     if workers > 1:
         with Pool(processes=workers) as pool:
-            results = pool.map(evaluate, indices,
-                               chunksize=math.ceil(len(indices) / workers))
+            results = pool.map(evaluate, evaluated,
+                               chunksize=math.ceil(len(evaluated) / workers))
     else:
-        results = [evaluate(idx) for idx in indices]
+        results = [evaluate(idx) for idx in evaluated]
+    if reps is not indices:
+        by_rep = dict(zip(evaluated, results))
+        member = (lambda i: i) if cd.domain == "exponent" else ctx.element_at
+        results = [[replace(r, witness=member(i)) for r in by_rep[rep]]
+                   for i, rep in zip(indices, reps)]
 
     cases = [r for rs in results for r in rs]
     histogram: Optional[dict] = None

@@ -3,9 +3,12 @@
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
+from ksum import padic
+from ksum.ff import make_field
 from ksum.kloos import CongruenceReport
 from ksum.sweeps import (CHECKS, JobError, SweepReport, VerificationJob,
                          emit_report, run_verification)
@@ -170,3 +173,66 @@ def test_custom_modulus_echoed():
     assert rep.failures == []
     summary = json.loads(text.splitlines()[-1])
     assert summary["field"]["modulus"] == [1, 0, 1]
+
+
+# ------------------------------------------------------- Frobenius orbits
+
+ORBIT_CHECKS = sorted(name for name, cd in CHECKS.items() if cd.orbit)
+ORBIT_FIELDS = [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (7, 2), (11, 2)]
+
+
+def test_orbit_flags_are_pinned():
+    # a newly registered check sweeps every index until it opts in here
+    assert ORBIT_CHECKS == ["fourier", "mod27", "mod9", "moisio", "stickelberger",
+                            "thm1", "wan", "weil", "wt1"]
+
+
+@pytest.mark.parametrize("check", ORBIT_CHECKS)
+def test_orbit_sweep_equals_direct_evaluation(check):
+    # every member's report, witness included, is the check evaluated at
+    # that member itself, not only at its orbit's representative
+    cd = CHECKS[check]
+    fields = [(p, n) for p, n in ORBIT_FIELDS if cd.p in (None, p) and n >= cd.min_n]
+    assert fields
+    precision = 3 if cd.precision else None
+    for p, n in fields:
+        rep = run_verification(VerificationJob(p, n, check, jobs=1, precision=precision))
+        ctx = make_field(p, n)
+        uctx = padic.lift_field(ctx, precision) if precision else None
+        domain = range(ctx.q) if cd.domain == "element" else range(1, ctx.q - 1)
+        direct = [r for i in domain for r in cd.evaluate(ctx, uctx, i)]
+        assert rep.cases == direct, (p, n)
+        assert rep.total == len(domain)
+
+
+def _evaluations(monkeypatch, job):
+    """The indices a sweep evaluates, counted at the registry evaluator."""
+    seen = []
+    cd = CHECKS[job.check]
+
+    def counted(c, u, i):
+        seen.append(i)
+        return cd.evaluate(c, u, i)
+
+    monkeypatch.setitem(CHECKS, job.check, replace(cd, evaluate=counted))
+    rep = run_verification(job)
+    monkeypatch.setitem(CHECKS, job.check, cd)
+    return rep, seen
+
+
+def test_orbit_sweep_evaluates_each_orbit_once(monkeypatch):
+    rep, seen = _evaluations(monkeypatch, VerificationJob(3, 7, "mod27", jobs=1))
+    assert (rep.total, len(seen)) == (2187, 315)
+    rep, seen = _evaluations(monkeypatch, VerificationJob(11, 3, "stickelberger", jobs=1))
+    assert (rep.total, len(seen)) == (1329, 449)
+    assert seen == sorted(seen)
+
+
+def test_scoped_runs_evaluate_what_they_name(monkeypatch):
+    rep, seen = _evaluations(
+        monkeypatch, VerificationJob(3, 7, "mod27", scope=("sample", 50, 7), jobs=1))
+    assert len(seen) == rep.total == 50
+    rep, seen = _evaluations(
+        monkeypatch, VerificationJob(3, 7, "mod27", scope=("element", (0, 1) + (0,) * 5),
+                                     jobs=1))
+    assert seen == [3]
