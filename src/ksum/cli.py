@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="value frequencies over the whole field")
     _add_field_arg(sp)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None,
+                    help="validated, but the rows are read in one process")
     sp.add_argument("--format", choices=["summary", "json-lines", "csv"],
                     default="summary")
     sp.add_argument("--out", default=None)

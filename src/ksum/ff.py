@@ -172,7 +172,9 @@ class FieldCtx:
 
     Every operation is a pure function of its inputs; the lazily built
     lookup tables are an invisible cache, so contexts can be shared or
-    rebuilt freely across worker processes.
+    rebuilt freely across worker processes.  So is `count_rows`: every
+    Kloosterman counting row by element index, attached by a whole-field
+    sweep (see kloos) and pickled with the context to its workers.
     """
 
     def __init__(self, p: int, n: int, modulus: Sequence[int], generator: FFElem):
@@ -181,6 +183,7 @@ class FieldCtx:
         self.q = self.p ** self.n
         self.modulus = tuple(int(c) % self.p for c in modulus)
         self.generator = generator
+        self.count_rows: Optional[list[tuple[int, ...]]] = None
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"

@@ -2,9 +2,13 @@
 
 The sum over F_q of zeta^(Tr(1/x + a*x)) (with 1/0 read as 0) is computed
 by counting how often each trace value occurs, so the result is exact and
-the count vector doubles as a certificate.  Conjugates are obtained by
-re-summation at scaled arguments; the Galois action on coordinates is kept
-as an independent cross-check rather than the computation path.
+the count vector doubles as a certificate.  A row of counts comes from one
+of two engines: counting over the field at a single a, or, for a sweep of
+the whole field, one Fourier transform over F_p^n that yields every row at
+once (`_count_table`).  `_counts_by_index` is the one accessor of both.
+Conjugates are obtained by re-summation at scaled arguments; the Galois
+action on coordinates is kept as an independent cross-check rather than
+the computation path.
 """
 
 from __future__ import annotations
@@ -56,6 +60,19 @@ class CongruenceReport:
 
 @lru_cache(maxsize=None)
 def _counts_by_index(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
+    """The counting row at element index a_idx: counts[t] = #{x : Tr(1/x + a*x) = t}.
+
+    Read from the context's `count_rows` when a sweep has attached them,
+    else counted over the field.
+    """
+    if ctx.count_rows is not None:
+        return ctx.count_rows[a_idx]
+    return _count_row(ctx, a_idx)
+
+
+def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
+    """One counting row, in O(p * q): the engine of one-witness scopes, and
+    the oracle of `_count_table`."""
     p, q = ctx.p, ctx.q
     t = ctx.tables
     counts = [0] * p
@@ -73,6 +90,46 @@ def _counts_by_index(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
     if sum(counts) != q:
         raise InternalCheckError("trace counts do not cover the field")
     return tuple(counts)
+
+
+def _count_table(ctx: FieldCtx) -> list[tuple[int, ...]]:
+    """Every counting row of the field, in element-index order, from one transform.
+
+    Write y(x) = (Tr(x * w^i))_i, w^i the basis monomials, for the
+    coordinates of x in the dual basis of the trace form.  The form is
+    nondegenerate, so y runs once over F_p^n, and Tr(a*x) = a . y for a
+    with coordinates a_i.  The row of a therefore counts the y with
+    h(y) + a . y = t, where h(y) = Tr(1/x): one Fourier transform over
+    F_p^n of the one-hot vectors c[.][y] = [h(y) = .].  It takes n passes
+    over the top digit of y, O(n * q * p^2) in all.  Output digit b sums
+    the slabs of top digit x with components shifted by b*x and becomes
+    the lowest digit, so after n passes the digits are back in index order.
+    """
+    p, n, q = ctx.p, ctx.n, ctx.q
+    t = ctx.tables
+    y = [0] * (q - 1)                  # index of y(g^k), by k
+    for i in reversed(range(n)):       # w^i has element index p^i
+        start = t.log[p ** i]
+        y = [v * p + c for v, c in zip(y, t.trace_by_log2[start:start + q - 1])]
+    h: list[Optional[int]] = [None] * q
+    h[0] = 0                           # x = 0 has y = 0 and Tr(1/0) = 0
+    for v, s in zip(y, t.trace_inv_by_log):
+        h[v] = s
+    if None in h:
+        raise InternalCheckError("dual coordinates do not cover the field")
+    c = [[int(v == s) for v in h] for s in range(p)]
+    m = q // p
+    for _ in range(n):
+        slabs = [[cs[x * m:(x + 1) * m] for x in range(p)] for cs in c]
+        c = [[0] * q for _ in range(p)]
+        for b in range(p):
+            for s in range(p):
+                c[s][b::p] = reduce(lambda u, v: map(operator.add, u, v),
+                                    [slabs[(s - b * x) % p][x] for x in range(p)])
+    rows = list(zip(*c))
+    if any(sum(r) != q for r in rows):
+        raise InternalCheckError("trace counts do not cover the field")
+    return rows
 
 
 def kloosterman(ctx: FieldCtx, a: FFElem) -> KloostermanValue:

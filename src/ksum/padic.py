@@ -242,15 +242,22 @@ class UnramCtx:
     def gauss_square_support(self) -> tuple[tuple[int, int], ...]:
         """(j, g(j)^2 mod 27) for every j in 1..q-2 whose computed value is nonzero.
 
-        Zero terms are dropped on their computed value, never on the weight law,
-        so the Fourier sum over this support is the full sum.
+        g(p*j) = g(j), as the Gross-Koblitz arguments of p*j permute those of
+        j, so the value is computed at the least member of each orbit of
+        j -> p*j mod q-1 and given to every member.  Zero terms are dropped on
+        their computed value, never on the weight law, so the Fourier sum over
+        this support is the full sum.
         """
-        out = []
-        for j in range(1, self.field.q - 1):
-            c = gauss_square_mod27(self, j).residue
-            if c:
-                out.append((j, c))
-        return tuple(out)
+        m = self.field.q - 1
+        value: list = [None] * m
+        for j in range(1, m):
+            if value[j] is None:
+                c = gauss_square_mod27(self, j).residue
+                k = j
+                while value[k] is None:
+                    value[k] = c
+                    k = self.p * k % m
+        return tuple((j, c) for j, c in enumerate(value) if c)
 
 
 def lift_field(field: FieldCtx, precision: int) -> UnramCtx:

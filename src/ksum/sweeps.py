@@ -6,6 +6,11 @@ one per worker, and returns the results in witness order, so output is
 byte-identical regardless of worker count.  Wall time is tracked on the
 report but never written to the output stream for the same reason.
 
+An `--all` sweep of elements or of the whole field, at n >= 2, first
+attaches every counting row to the field context, from one transform in
+this process (`kloos._count_table`); workers receive the rows with the
+pickled context.  `spectrum` only reads rows, so it never starts a pool.
+
 A check flagged `orbit` reports the same values at a and a^p (elements)
 or at j and p*j mod q-1 (Gauss indices).  Its `--all` sweep evaluates
 only the least index of each Frobenius orbit, then gives every member its
@@ -239,15 +244,20 @@ def run_verification(job: VerificationJob) -> SweepReport:
         raise JobError(f"check {job.check!r} takes no precision, got {job.precision}")
 
     indices, scope_echo = _resolve_scope(job, ctx, cd.domain)
+    whole = scope_echo["kind"] == "all"
+    if whole and cd.domain != "exponent" and ctx.n > 1:
+        # at n = 1 the transform's p^3 one-entry slab sums cost more than counting
+        ctx.count_rows = kloos._count_table(ctx)
     reps = indices
-    if cd.orbit and scope_echo["kind"] == "all":
+    if cd.orbit and whole:
         reps = _orbit_representatives(ctx, cd.domain, indices)
     evaluated = [i for i, r in zip(indices, reps) if i == r]
     cpus = os.cpu_count() or 1
     workers = job.jobs if job.jobs is not None else cpus
     if workers < 1:
         raise JobError(f"worker count must be positive, got {job.jobs}")
-    workers = min(workers, cpus, len(evaluated))
+    # the aggregate domain only reads rows: a pool would just copy them back
+    workers = 1 if cd.domain == "aggregate" else min(workers, cpus, len(evaluated))
     evaluate = partial(_evaluate, job.check, ctx, uctx)
     if workers > 1:
         with Pool(processes=workers) as pool:

@@ -356,13 +356,57 @@ def test_identities_corrupt_generator_lift_exit_three(monkeypatch, capsys):
 # ----------------------------------------------------- output discipline
 
 def test_jobs_flag_does_not_change_stdout(capsys):
-    args = ["verify", "--field", "p=3,n=3", "--check", "mod27", "--all",
-            "--format", "json-lines", "--records", "all"]
-    assert main(args + ["--jobs", "1"]) == 0
-    first = capsys.readouterr().out
-    assert main(args + ["--jobs", "3"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    # thm1 at p = 5 sends the whole-field table to its workers with the context
+    runs = [(["verify", "--field", "p=3,n=3", "--check", "mod27", "--all",
+              "--format", "json-lines", "--records", "all"], "3"),
+            (["spectrum", "--field", "p=3,n=4", "--format", "csv"], "2"),
+            (["spectrum", "--field", "p=3,n=4", "--format", "summary"], "2"),
+            (["verify", "--field", "p=5,n=3", "--check", "thm1", "--all",
+              "--format", "json-lines", "--records", "all"], "2")]
+    for args, jobs in runs:
+        assert main(args + ["--jobs", "1"]) == 0
+        first = capsys.readouterr().out
+        assert main(args + ["--jobs", jobs]) == 0
+        second = capsys.readouterr().out
+        assert first == second, args
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "p=3,n=4", "--check", "mod27", "--a", "1,2,0,1", "--jobs", "1"],
+    ["verify", "--field", "p=3,n=4", "--check", "mod27", "--sample", "20", "--seed", "1",
+     "--jobs", "1"],
+    ["kloosterman", "--field", "p=3,n=4", "--a", "1,2,0,1"],
+], ids=["a", "sample", "kloosterman"])
+def test_one_witness_scopes_build_no_table(argv, monkeypatch, capsys):
+    def refuse(ctx):
+        raise AssertionError("a scoped run built the whole-field table")
+
+    monkeypatch.setattr(ksum.kloos, "_count_table", refuse)
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_whole_field_table_is_built_once_in_the_parent(monkeypatch, capsys):
+    pid = os.getpid()
+    built = []
+
+    def parent_only(ctx, _real=ksum.kloos._count_table):
+        if os.getpid() != pid:
+            raise AssertionError("a worker built the whole-field table")
+        built.append(ctx.q)
+        return _real(ctx)
+
+    def refuse(ctx, k):
+        raise AssertionError("a row was counted although the table was attached")
+
+    monkeypatch.setattr(ksum.kloos, "_count_table", parent_only)
+    monkeypatch.setattr(ksum.kloos, "_count_row", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ksum.kloos._counts_by_index.cache_clear()    # cached rows would hide a counting worker
+    assert main(["verify", "--field", "p=5,n=3", "--check", "thm1", "--all",
+                 "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert built == [125]
 
 
 def test_timing_goes_to_stderr_not_stdout(capsys):

@@ -194,3 +194,21 @@ def test_spectrum_values_divisible_by_three():
     for value, count in spectrum_sweep(3, 3).histogram.items():
         assert value % 3 == 0
         assert count > 0
+
+
+# --------------------------------------------- whole-field transform engine
+
+_TABLE_FIELDS = ([(3, n, None) for n in range(1, 9)]
+                 + [(5, n, None) for n in range(1, 6)]
+                 + [(7, n, None) for n in range(1, 5)]
+                 + [(11, n, None) for n in range(1, 4)]
+                 + [(3, 2, (1, 0, 1)), (3, 3, (1, 0, 2, 1))])
+
+
+@pytest.mark.parametrize("p,n,modulus", _TABLE_FIELDS)
+def test_count_table_matches_per_row_oracle(p, n, modulus):
+    # every q <= 3^8 for p in {3, 5, 7, 11}, n = 1 included, and two user
+    # moduli; in x^2 + 1 over F_3 the basis monomial x is not a generator
+    ctx = make_field(p, n, modulus)
+    rows = ksum.kloos._count_table(ctx)
+    assert rows == [ksum.kloos._count_row(ctx, i) for i in range(ctx.q)]

@@ -321,6 +321,19 @@ def test_gauss_square_values_q27(f27):
         assert gauss_square_mod27(uctx, j).residue == expected, j
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_gauss_square_support_matches_every_j_loop(n):
+    # the support computes one value per orbit of j -> 3j; the oracle is the
+    # loop it replaced, one gauss_square_mod27 call at every j
+    uctx = lift_field(make_field(3, n), 3)
+    oracle = []
+    for j in range(1, uctx.field.q - 1):
+        c = gauss_square_mod27(uctx, j).residue
+        if c:
+            oracle.append((j, c))
+    assert uctx.gauss_square_support == tuple(oracle)
+
+
 def test_stickelberger_exhaustive():
     for p, n in ((3, 3), (5, 2), (7, 2)):
         ctx = make_field(p, n)
