@@ -2,12 +2,15 @@
 
 Elements are length-n tuples of residues mod p, constant coefficient first,
 in the polynomial basis of the modulus.  A context fixes both the modulus
-and a generator of the multiplicative group; discrete-log and trace tables
-are built lazily so the exhaustive sweeps stay cheap.
+and a generator of the multiplicative group; its discrete-log and trace
+tables are built lazily, in one walk over the generator's powers, so the
+exhaustive sweeps stay cheap.  A context's arithmetic never changes, but
+it is not frozen: a whole-field sweep attaches `count_rows` to it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
@@ -161,20 +164,22 @@ class ExponentSet:
 class FieldTables(NamedTuple):
     """Lookup tables backing the sweep hot loops; index = sum c_i * p^i."""
 
-    exp: list[int]                 # k -> index of generator**k
+    exp: list[int]                 # k -> index of g**k, for k in [0, q-1)
     log: list[Optional[int]]       # index -> k, None at zero
-    trace_by_log2: list[int]       # trace(g**k), doubled to avoid wrap mod q-1
-    trace_inv_by_log: list[int]    # trace(g**-k)
+    trace_by_log2: list[int]       # Tr(g**k) at k and k + q-1, so windows need
+                                   # no wrap; Tr(g**-k) sits at q-1-k
 
 
 class FieldCtx:
-    """Immutable arithmetic context for F_{p^n}.
+    """Arithmetic context for F_{p^n}.
 
     Every operation is a pure function of its inputs; the lazily built
     lookup tables are an invisible cache, so contexts can be shared or
-    rebuilt freely across worker processes.  So is `count_rows`: every
-    Kloosterman counting row by element index, attached by a whole-field
-    sweep (see kloos) and pickled with the context to its workers.
+    rebuilt freely across worker processes.  The one attribute set after
+    construction is `count_rows`, None until a whole-field sweep attaches
+    every Kloosterman counting row by element index (see kloos); it is
+    pickled with the context to the sweep's workers and takes no part in
+    equality or hashing.
     """
 
     def __init__(self, p: int, n: int, modulus: Sequence[int], generator: FFElem):
@@ -290,25 +295,30 @@ class FieldCtx:
 
     @cached_property
     def tables(self) -> FieldTables:
+        """exp, log and the trace row from one walk over the powers g^k.
+
+        A step that lands on zero or on an index already logged means the
+        generator's order is below q-1, and the walk stops there.
+        """
         q, p = self.q, self.p
+        gen, mod, basis = self.generator.coeffs, self.modulus, self._trace_basis
         exp = [0] * (q - 1)
         log: list[Optional[int]] = [None] * q
+        by_log = [0] * (q - 1)
         cur = self.one().coeffs
-        gen = self.generator.coeffs
-        mod = self.modulus
         for k in range(q - 1):
             idx = 0
             for c in reversed(cur):
                 idx = idx * p + c
+            if idx == 0 or log[idx] is not None:
+                raise FieldError("generator does not have order q-1")
             exp[k] = idx
             log[idx] = k
-            cur = _mulmod(cur, gen, mod, p)
-        if cur != self.one().coeffs:
-            raise FieldError("generator does not have order q-1")
-        by_log = [self.trace(self.element_at(i)) for i in exp]
-        trace_by_log2 = by_log + by_log
-        trace_inv_by_log = [by_log[0]] + by_log[:0:-1]
-        return FieldTables(exp, log, trace_by_log2, trace_inv_by_log)
+            by_log[k] = sum(map(operator.mul, cur, basis)) % p
+            # _mulmod skips zero coefficients of its first operand: a sparse
+            # generator such as x drives the outer loop
+            cur = _mulmod(gen, cur, mod, p)
+        return FieldTables(exp, log, by_log + by_log)
 
 
 def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> FieldCtx:

@@ -75,14 +75,15 @@ def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
     the oracle of `_count_table`."""
     p, q = ctx.p, ctx.q
     t = ctx.tables
+    tr = t.trace_by_log2
     counts = [0] * p
     counts[0] = 1                      # the x = 0 term contributes zeta^0
     if a_idx == 0:
-        row = t.trace_inv_by_log
+        row = tr[:q - 1]               # Tr(1/x) takes the values of Tr(x)
     else:
+        # x = g^-k: Tr(1/x) + Tr(a*x) = Tr(g^k) + Tr(g^(alpha-k))
         alpha = t.log[a_idx]
-        seg = t.trace_by_log2[alpha:alpha + q - 1]
-        row = list(map(operator.add, t.trace_inv_by_log, seg))
+        row = list(map(operator.add, tr, tr[alpha + q - 1:alpha:-1]))
     for s in range(2 * p - 1):
         c = row.count(s)
         if c:
@@ -113,7 +114,7 @@ def _count_table(ctx: FieldCtx) -> list[tuple[int, ...]]:
         y = [v * p + c for v, c in zip(y, t.trace_by_log2[start:start + q - 1])]
     h: list[Optional[int]] = [None] * q
     h[0] = 0                           # x = 0 has y = 0 and Tr(1/0) = 0
-    for v, s in zip(y, t.trace_inv_by_log):
+    for v, s in zip(y, t.trace_by_log2[q - 1:0:-1]):   # Tr(g^-k), by k
         h[v] = s
     if None in h:
         raise InternalCheckError("dual coordinates do not cover the field")

@@ -192,20 +192,23 @@ def _spectrum_reports(ctx: FieldCtx, counts_list: list[tuple[int, ...]]):
     """Checksum and divisibility reports plus the value histogram.
 
     `counts_list` holds the counting row of every field index in order, as
-    the aggregate domain only sweeps the whole field.
+    the aggregate domain only sweeps the whole field.  Each distinct row is
+    valued once; rows are taken in order of first appearance, so a bad
+    row's witness is the first index holding it, as in an index-order scan.
     """
     p = ctx.p
     hist: dict = {}
     totals = [0] * p
-    for idx, counts in enumerate(counts_list):
+    for counts, mult in Counter(counts_list).items():
         value = CycInt.from_power_counts(p, counts)
         key = value.as_rational() if p == 3 else value.coords
         if key is None:
+            idx = counts_list.index(counts)
             raise InternalCheckError(
                 f"ternary Kloosterman sum is not rational {_witness('spectrum', ctx, idx)}")
-        hist[key] = hist.get(key, 0) + 1
+        hist[key] = hist.get(key, 0) + mult
         for t, c in enumerate(counts):
-            totals[t] += c
+            totals[t] += mult * c
     total_value = CycInt.from_power_counts(p, totals)
     checksum = total_value.as_rational()
     reports = [CongruenceReport(

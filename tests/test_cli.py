@@ -93,6 +93,18 @@ def test_spectrum_defect_exit_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
                             "(check spectrum, --a 0,0)\n")
+    # one bad row at indices 5 = (2, 1) and 7 = (1, 2) only: the witness is
+    # the first index that holds it
+    real = ksum.kloos._count_row
+    monkeypatch.setattr(ksum.kloos, "_counts_by_index",
+                        lambda ctx, k: (ctx.q - 2, 2, 0) if k in (5, 7)
+                        else real(ctx, k))
+    rc = main(["spectrum", "--field", "p=3,n=2", "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
+                            "(check spectrum, --a 2,1)\n")
 
 
 @pytest.mark.parametrize("check", ["moisio", "wan"])

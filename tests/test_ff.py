@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksum.ff
-from ksum.ff import (ExponentSet, FieldError, build_subset, custom_subset,
-                     legendre, make_field, power_sum)
+from ksum.ff import (ExponentSet, FFElem, FieldCtx, FieldError, build_subset,
+                     custom_subset, legendre, make_field, power_sum)
 
 
 # ---------------------------------------------------------------- oracles
@@ -270,6 +270,49 @@ def test_custom_irreducible_non_primitive_modulus():
         acc = ctx.mul(acc, g)
         seen.add(acc.coeffs)
     assert len(seen) == ctx.q - 1
+
+
+# ----------------------------------------------------------------- tables
+
+@pytest.mark.parametrize("p,n,modulus", [
+    (3, 2, (1, 0, 1)), (3, 4, (1, 1, 1, 1, 1)), (3, 5, None), (5, 3, None), (7, 2, None),
+])
+def test_tables_match_oracle(p, n, modulus):
+    # the two user moduli have generators other than x
+    ctx = make_field(p, n, modulus)
+    t = ctx.tables
+    q = ctx.q
+    for k, idx in enumerate(t.exp):
+        want = poly_powmod(list(ctx.generator.coeffs), k, list(ctx.modulus), p)
+        assert idx == sum(c * p ** i for i, c in enumerate(want)), k
+    assert sorted(t.exp) == list(range(1, q))
+    assert t.log[0] is None
+    assert all(t.log[idx] == k for k, idx in enumerate(t.exp))
+    row = [oracle_trace(ctx, ctx.element_at(idx)) for idx in t.exp]
+    assert t.trace_by_log2 == row + row
+
+
+@pytest.mark.parametrize("p,modulus,generator", [
+    # x in F_3[x]/(x^2 + 1) has order 4, not 8
+    pytest.param(3, (1, 0, 1), (0, 1), id="order-4"),
+    # zero: the walk first lands on index 0 at its last step
+    pytest.param(3, (0, 1), (0,), id="zero"),
+])
+def test_tables_reject_generator_below_full_order(p, modulus, generator):
+    ctx = FieldCtx(p, len(modulus) - 1, modulus, FFElem(generator))
+    with pytest.raises(FieldError, match="generator does not have order q-1"):
+        ctx.tables
+
+
+def test_tables_decode_no_element(monkeypatch):
+    # the walk reads exp, log and the trace row off the coefficients in hand
+    ctx = make_field(3, 4, (1, 1, 1, 1, 1))
+
+    def refuse(*args):
+        raise AssertionError("tables decoded an element")
+    monkeypatch.setattr(FieldCtx, "element_at", refuse)
+    monkeypatch.setattr(FieldCtx, "trace", refuse)
+    assert len(ctx.tables.trace_by_log2) == 2 * (ctx.q - 1)
 
 
 # ------------------------------------------------------------- arithmetic

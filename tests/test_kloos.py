@@ -1,9 +1,10 @@
 """Kloosterman sums against a direct elementwise oracle.
 
 The oracle walks every field element and tallies trace values with no log
-or trace tables; the field primitives it leans on (mul, inv, trace) are
-themselves pinned to schoolbook oracles in test_ff. The fast path must
-reproduce its count vector exactly, element by element.
+or trace tables: it inverts x as x^(q-2) by square-and-multiply, and the
+field primitives it leans on (mul, trace) are themselves pinned to
+schoolbook oracles in test_ff. The fast path must reproduce its count
+vector exactly, element by element.
 """
 
 import pytest
@@ -18,17 +19,35 @@ from ksum.kloos import (InternalCheckError, check_conjugate_product,
 from ksum.sweeps import VerificationJob, run_verification
 
 
+def oracle_inv(ctx, x):
+    """x^(q-2) through ctx.mul, which reads no table; 0 maps to 0."""
+    acc, base, e = ctx.one(), x, ctx.q - 2
+    while e:
+        if e & 1:
+            acc = ctx.mul(acc, base)
+        base = ctx.mul(base, base)
+        e >>= 1
+    return acc
+
+
 def oracle_counts(ctx, a):
     counts = [0] * ctx.p
     for x in ctx.elements():
-        arg = ctx.add(ctx.inv(x), ctx.mul(a, x))
+        arg = ctx.add(oracle_inv(ctx, x), ctx.mul(a, x))
         counts[ctx.trace(arg)] += 1
     return tuple(counts)
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
-def test_counts_match_oracle_exhaustive(p, n):
-    ctx = make_field(p, n)
+@pytest.mark.parametrize("p,n,modulus", [
+    pytest.param(3, 2, None, id="3-2"),
+    pytest.param(3, 3, None, id="3-3"),
+    pytest.param(5, 2, None, id="5-2"),
+    # user moduli whose generator is not x
+    pytest.param(3, 2, (1, 0, 1), id="3-2-mod1,0,1"),
+    pytest.param(3, 4, (1, 1, 1, 1, 1), id="3-4-mod1,1,1,1,1"),
+])
+def test_counts_match_oracle_exhaustive(p, n, modulus):
+    ctx = make_field(p, n, modulus)
     for a in ctx.elements():
         kv = kloosterman(ctx, a)
         assert kv.counts == oracle_counts(ctx, a)
