@@ -143,13 +143,14 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    # the cap refuses every p > 2^27 before trial division would test it
+    padic._check_gamma_modulus(args.p, args.precision)
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"p must be an odd prime, got {args.p}")
     num, slash, den = args.x.partition("/")
     num, den = int(num), int(den) if slash else 1
     if den == 0:
         raise ValueError("zero denominator")
-    padic._check_gamma_modulus(args.p, args.precision)
     frac = Fraction(num, den)
     value = padic.padic_from_rational(frac.numerator, frac.denominator,
                                       args.p, args.precision)

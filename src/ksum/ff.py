@@ -21,6 +21,19 @@ class FieldError(ValueError):
     """Invalid field parameters, malformed elements, or bad exponent sets."""
 
 
+# The most entries of per-element state a run may build: the field tables,
+# the Gauss-square support, and the indices of an --all or --sample scope.
+# `verify --check mod27 --all` peaks near 0.9 KB per element at p = 3,
+# n = 11..12, so a sweep at the cap stays near 2 GB; 3^13 is admitted.
+MAX_TABLE_Q = 2 ** 21
+
+
+def check_table_cap(size: int, what: str, error: type = FieldError) -> None:
+    """Refuse `size` entries for `what` above MAX_TABLE_Q, before any is allocated."""
+    if size > MAX_TABLE_Q:
+        raise error(f"{what} would hold {size} entries, above the cap of 2^21")
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -301,6 +314,7 @@ class FieldCtx:
         generator's order is below q-1, and the walk stops there.
         """
         q, p = self.q, self.p
+        check_table_cap(q, f"the field tables of F_{p}^{self.n}")
         gen, mod, basis = self.generator.coeffs, self.modulus, self._trace_basis
         exp = [0] * (q - 1)
         log: list[Optional[int]] = [None] * q
@@ -343,38 +357,37 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
 
     if modulus is None:
         radical_p = distinct_prime_factors(p - 1)
-        roots = (g for g in range(2, p)
-                 if all(pow(g, (p - 1) // r, p) != 1 for r in radical_p))
-        if n == 1:
-            g = next(roots)
-            return FieldCtx(p, 1, ((-g) % p, 1), FFElem((g,)))
-        # the norm (-1)^n * c0 of a generator generates F_p^*, so no other
-        # constant term c0 can give a primitive modulus
-        constants = {(-1) ** n * g % p for g in roots}
-        x = (0, 1) + (0,) * (n - 2)
-        for tail in product(range(p), repeat=n):
-            if tail[0] not in constants:
-                continue
-            cand = tail + (1,)
-            if _has_full_order(x, cand, p, q, radical):
-                return FieldCtx(p, n, cand, FFElem(x))
-        raise FieldError("no primitive modulus found")  # unreachable
 
-    mod = tuple(int(c) % p for c in modulus)
-    if len(mod) != n + 1:
-        raise FieldError(
-            f"modulus needs {n + 1} coefficients for degree {n}, got {len(mod)}")
-    if mod[-1] != 1:
-        raise FieldError("modulus must be monic")
-    if not _is_irreducible(mod, p):
-        raise FieldError(f"modulus {mod} is reducible over F_{p}")
-    x = ((-mod[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
-    # element k has the base-p digits of k as coefficients, constant first
-    elements = (tail[::-1] for tail in product(range(p), repeat=n))
-    for gen in chain([x], islice(elements, 2, None)):
-        if _has_full_order(gen, mod, p, q, radical):
-            return FieldCtx(p, n, mod, FFElem(gen))
-    raise FieldError("no generator found")  # unreachable for a field
+        def primitive_root(g: int) -> bool:
+            return g % p != 0 and all(pow(g, (p - 1) // r, p) != 1 for r in radical_p)
+
+        if n == 1:
+            g = next(g for g in range(2, p) if primitive_root(g))
+            return FieldCtx(p, 1, ((-g) % p, 1), FFElem((g,)))
+        # the norm (-1)^n * c0 of a generator generates F_p^*, so only those
+        # constant terms c0 can give a primitive modulus; walking them in
+        # order keeps the candidates lexicographic, constant term first
+        x = (0, 1) + (0,) * (n - 2)
+        candidates = ((x, (c0,) + mid + (1,))
+                      for c0 in range(p) if primitive_root((-1) ** n * c0)
+                      for mid in product(range(p), repeat=n - 1))
+    else:
+        mod = tuple(int(c) % p for c in modulus)
+        if len(mod) != n + 1:
+            raise FieldError(
+                f"modulus needs {n + 1} coefficients for degree {n}, got {len(mod)}")
+        if mod[-1] != 1:
+            raise FieldError("modulus must be monic")
+        if not _is_irreducible(mod, p):
+            raise FieldError(f"modulus {mod} is reducible over F_{p}")
+        x = ((-mod[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
+        # element k has the base-p digits of k as coefficients, constant first
+        elements = (tail[::-1] for tail in product(range(p), repeat=n))
+        candidates = ((gen, mod) for gen in chain([x], islice(elements, 2, None)))
+    for gen, cand in candidates:
+        if _has_full_order(gen, cand, p, q, radical):
+            return FieldCtx(p, n, cand, FFElem(gen))
+    raise FieldError("no generator of full order found")  # unreachable
 
 
 @lru_cache(maxsize=None)

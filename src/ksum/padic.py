@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Union
 
-from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
+from .ff import (FFElem, FieldCtx, _mulmod, _powmod, build_subset, check_table_cap,
+                 power_sum)
 from .kloos import CongruenceReport, InternalCheckError, kloosterman
 
 
@@ -96,9 +97,11 @@ def _check_gamma_modulus(p: int, precision: int) -> None:
     """Refuse p^K above GAMMA_MAX_MODULUS, deciding from p and K alone.
 
     Any K past the cap's bit length is over it for every p >= 2, so a huge
-    precision never forms p^K.
+    precision never forms p^K.  A K below 1 is refused later, by PadicInt;
+    here it is sized as K = 1, so every p above the cap is refused.
     """
-    if precision >= GAMMA_MAX_MODULUS.bit_length() or p ** precision > GAMMA_MAX_MODULUS:
+    if (precision >= GAMMA_MAX_MODULUS.bit_length()
+            or p ** max(precision, 1) > GAMMA_MAX_MODULUS):
         raise ValueError(
             f"gamma_p needs p^K <= 2^27, got p^K = {p}^{precision}; lower the precision")
 
@@ -248,6 +251,7 @@ class UnramCtx:
         their computed value, never on the weight law, so the Fourier sum over
         this support is the full sum.
         """
+        check_table_cap(self.field.q, f"the Gauss-square support of F_{self.p}^{self.n}")
         m = self.field.q - 1
         value: list = [None] * m
         for j in range(1, m):

@@ -33,7 +33,7 @@ from typing import Callable, Optional, TextIO
 
 from . import kloos, padic
 from .cyclo import CycInt
-from .ff import FFElem, FieldCtx, FieldError, make_field
+from .ff import FFElem, FieldCtx, FieldError, check_table_cap, make_field
 from .kloos import CongruenceReport, InternalCheckError
 
 
@@ -141,6 +141,7 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
         raise JobError(f"check {job.check!r} only supports a full sweep (--all)")
     pool = range(q) if domain != "exponent" else range(1, q - 1)
     if kind == "all":
+        check_table_cap(q, f"an --all scope of F_{ctx.p}^{ctx.n}", JobError)
         return list(pool), {"kind": "all"}
     if kind == "element":
         if domain == "exponent":
@@ -160,6 +161,7 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
         count, seed = job.scope[1], job.scope[2]
         if not 0 <= count <= len(pool):
             raise JobError(f"sample size {count} outside [0, {len(pool)}]")
+        check_table_cap(count, "a --sample scope", JobError)
         indices = sorted(random.Random(seed).sample(pool, count))
         return indices, {"kind": "sample", "count": count, "seed": seed}
     raise JobError(f"unknown scope {kind!r}")

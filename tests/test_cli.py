@@ -272,6 +272,51 @@ def test_gamma_just_under_cap(capsys):
         assert payload["gamma"] == value % p ** precision
 
 
+_BIG = "p=3,n=30"
+_BIG_A = "1" + ",0" * 29
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--field", _BIG, "--j", "1"],
+    ["verify", "--field", "p=3,n=21", "--check", "wt1", "--j", "5"],
+    ["verify", "--field", _BIG, "--check", "stickelberger", "--j", "5"],
+    ["verify", "--field", "p=3,n=21", "--check", "stickelberger", "--sample", "3"],
+    ["gauss", "--field", "p=1000003,n=2", "--j", "5", "--precision", "1"],
+])
+def test_table_free_commands_run_above_q_cap(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,refused", [
+    (["kloosterman", "--field", _BIG, "--a", _BIG_A],
+     "the field tables of F_3^30 would hold 205891132094649 entries"),
+    (["verify", "--field", _BIG, "--check", "fourier", "--a", _BIG_A],
+     "the Gauss-square support of F_3^30 would hold 205891132094649 entries"),
+    (["verify", "--field", "p=1000003,n=2", "--check", "stickelberger", "--all"],
+     "an --all scope of F_1000003^2 would hold 1000006000009 entries"),
+    (["spectrum", "--field", "p=3,n=14"],
+     "an --all scope of F_3^14 would hold 4782969 entries"),
+    (["verify", "--field", _BIG, "--check", "wt1", "--sample", "5000000"],
+     "a --sample scope would hold 5000000 entries"),
+])
+def test_q_cap_exit_two(argv, refused, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused}, above the cap of 2^21\n"
+
+
+def test_gamma_cap_comes_before_primality(capsys):
+    # trial division of this p would run for minutes
+    assert main(["gamma", "--p", "1000000000000000003", "--precision", "1",
+                 "--x", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: gamma_p needs p^K <= 2^27, got p^K = "
+                            "1000000000000000003^1; lower the precision\n")
+
+
 def test_gauss_json(capsys):
     rc = main(["gauss", "--field", "p=3,n=3", "--j", "1",
                "--format", "json-lines"])

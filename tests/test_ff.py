@@ -197,6 +197,82 @@ def test_default_search_skips_non_primitive_norms(monkeypatch):
     assert {mod[0] for mod in tried} == {2}
 
 
+def parent_default_search(p, n):
+    """The earlier default search, kept as the reference: every monic tail
+    in lexicographic order, constant term first, skipping each whose
+    constant term is not (-1)^n times a primitive root mod p."""
+    q = p ** n
+    radical = ksum.ff.distinct_prime_factors(q - 1)
+    radical_p = ksum.ff.distinct_prime_factors(p - 1)
+    roots = (g for g in range(2, p)
+             if all(pow(g, (p - 1) // r, p) != 1 for r in radical_p))
+    constants = {(-1) ** n * g % p for g in roots}
+    x = (0, 1) + (0,) * (n - 2)
+    for tail in itertools.product(range(p), repeat=n):
+        if tail[0] not in constants:
+            continue
+        cand = tail + (1,)
+        if ksum.ff._has_full_order(x, cand, p, q, radical):
+            return cand, x
+    raise AssertionError("no primitive modulus found")
+
+
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(2, 13)]
+                         + [(5, n) for n in range(2, 7)]
+                         + [(7, n) for n in range(2, 6)]
+                         + [(11, n) for n in range(2, 5)]
+                         + [(13, 2), (13, 3), (101, 2), (1009, 2)])
+def test_default_search_matches_parent_skip_loop(p, n):
+    ctx = make_field(p, n)
+    assert (ctx.modulus, ctx.generator.coeffs) == parent_default_search(p, n)
+
+
+def test_default_search_tests_every_drawn_candidate(monkeypatch):
+    # only admissible constant terms are enumerated, so every tuple the
+    # search draws becomes a candidate: at p = 3, n = 8 no c0 in {0, 1}
+    drawn, tried = [], []
+
+    def counting_product(*args, _real=itertools.product, **kwargs):
+        for t in _real(*args, **kwargs):
+            drawn.append(t)
+            yield t
+
+    def recording(x, modulus, p, q, radical, _real=ksum.ff._has_full_order):
+        tried.append(modulus)
+        return _real(x, modulus, p, q, radical)
+    monkeypatch.setattr(ksum.ff, "product", counting_product)
+    monkeypatch.setattr(ksum.ff, "_has_full_order", recording)
+    ctx = make_field(3, 8)
+    assert tried[-1] == ctx.modulus
+    assert len(drawn) == len(tried)
+
+
+@pytest.mark.parametrize("p,n,modulus", [
+    # the earlier search's moduli, from runs of 3.6 s and 3.8 s
+    (3, 16, (2,) + (0,) * 11 + (1, 1, 2, 1, 1)),
+    (1000003, 2, (2, 4, 1)),
+    (3, 21, None),
+    (3, 30, None),
+])
+def test_default_search_reaches_large_fields(p, n, modulus):
+    ctx = make_field(p, n)
+    assert ctx.modulus == modulus or modulus is None
+    # the norm of the generator x is a primitive root mod p
+    norm = (-1) ** n * ctx.modulus[0] % p
+    assert norm and all(pow(norm, (p - 1) // r, p) != 1
+                        for r in ksum.ff.distinct_prime_factors(p - 1))
+    assert ctx.generator.coeffs == (0, 1) + (0,) * (n - 2)
+
+
+def test_field_tables_refuse_q_above_cap(monkeypatch):
+    ctx = make_field(3, 14)
+    monkeypatch.setattr(ksum.ff, "_mulmod", None)   # the walk must not start
+    with pytest.raises(FieldError, match=r"F_3\^14 would hold 4782969 entries, "
+                                         r"above the cap of 2\^21"):
+        ctx.tables
+    assert ksum.ff.MAX_TABLE_Q == 2 ** 21 >= 3 ** 12
+
+
 def test_default_modulus_f27_frozen(f27):
     # x^3 + 2x^2 + 1, constant term first
     assert f27.modulus == (1, 0, 2, 1)
