@@ -34,31 +34,28 @@ def check_table_cap(size: int, what: str, error: type = FieldError) -> None:
         raise error(f"{what} would hold {size} entries, above the cap of 2^21")
 
 
+# Trial division stops here, after about 2 s on a number of up to 128 bits;
+# make_field refuses q - 1 >= 2^128 so that no division costs more.
+MAX_TRIAL_DIVISOR = 2 ** 24
+
+
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m > 1 and distinct_prime_factors(m) == (m,)
 
 
-def distinct_prime_factors(m: int) -> tuple[int, ...]:
-    """Sorted distinct prime divisors of m, by trial division."""
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+def distinct_prime_factors(m: int, name: Optional[str] = None) -> tuple[int, ...]:
+    """Sorted distinct prime divisors of m, by trial division up to MAX_TRIAL_DIVISOR."""
+    out, rest, f = [], m, 2
+    while f * f <= rest:
+        if f > MAX_TRIAL_DIVISOR:
+            raise FieldError(f"cannot factor {name or m}: trial division stops at 2^24")
+        if rest % f == 0:
             out.append(f)
-            while m % f == 0:
-                m //= f
+            while rest % f == 0:
+                rest //= f
         f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
+    if rest > 1:
+        out.append(rest)
     return tuple(out)
 
 
@@ -343,33 +340,31 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     selected, so the residue class of the indeterminate generates the
     multiplicative group.  For n = 1 the generator is the smallest positive
     primitive root and the modulus is the monic linear polynomial vanishing
-    on it.  A user-supplied modulus must be monic and irreducible; the
-    generator is the residue class of the indeterminate (for n = 1, the root
-    of the modulus) if that has full multiplicative order, else the first
-    element of full order in enumeration order from index 2.
+    on it.  A user-supplied modulus must be monic; the generator is the
+    residue class of the indeterminate (for n = 1, the root of the modulus)
+    if that has full multiplicative order, which proves the modulus
+    irreducible, else, once trial division has, the first element of full
+    order in enumeration order from index 2.
     """
+    # q - 1 >= 2^128, decided without forming a long p^n; n < 1 is sized as 1
+    if n * (p.bit_length() - 1) > 128 or p ** max(n, 1) > 2 ** 128:
+        raise FieldError(f"fields need q = p^n <= 2^128, got p = {p}, n = {n}")
     if not is_prime(p) or p == 2:
         raise FieldError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise FieldError(f"n must be a positive integer, got {n}")
     q = p ** n
-    radical = distinct_prime_factors(q - 1)
+    radical = distinct_prime_factors(q - 1, f"q - 1 = {p}^{n} - 1")
 
-    if modulus is None:
-        radical_p = distinct_prime_factors(p - 1)
-
-        def primitive_root(g: int) -> bool:
-            return g % p != 0 and all(pow(g, (p - 1) // r, p) != 1 for r in radical_p)
-
-        if n == 1:
-            g = next(g for g in range(2, p) if primitive_root(g))
-            return FieldCtx(p, 1, ((-g) % p, 1), FFElem((g,)))
-        # the norm (-1)^n * c0 of a generator generates F_p^*, so only those
-        # constant terms c0 can give a primitive modulus; walking them in
-        # order keeps the candidates lexicographic, constant term first
+    if modulus is None and n == 1:
+        candidates = (((g,), ((-g) % p, 1)) for g in range(2, p))
+    elif modulus is None:
+        # only c0 with a norm (-1)^n * c0 that generates F_p^* can give a
+        # primitive modulus; in order, they keep the candidates lexicographic
         x = (0, 1) + (0,) * (n - 2)
-        candidates = ((x, (c0,) + mid + (1,))
-                      for c0 in range(p) if primitive_root((-1) ** n * c0)
+        candidates = ((x, (c0,) + mid + (1,)) for c0 in range(1, p)
+                      if all(pow((-1) ** n * c0, (p - 1) // r, p) != 1
+                             for r in radical if (p - 1) % r == 0)
                       for mid in product(range(p), repeat=n - 1))
     else:
         mod = tuple(int(c) % p for c in modulus)
@@ -378,12 +373,15 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
                 f"modulus needs {n + 1} coefficients for degree {n}, got {len(mod)}")
         if mod[-1] != 1:
             raise FieldError("modulus must be monic")
-        if not _is_irreducible(mod, p):
-            raise FieldError(f"modulus {mod} is reducible over F_{p}")
         x = ((-mod[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
-        # element k has the base-p digits of k as coefficients, constant first
-        elements = (tail[::-1] for tail in product(range(p), repeat=n))
-        candidates = ((gen, mod) for gen in chain([x], islice(elements, 2, None)))
+
+        def after_x() -> Iterator[tuple[int, ...]]:
+            if not _is_irreducible(mod, p):
+                raise FieldError(f"modulus {mod} is reducible over F_{p}")
+            # element k has the base-p digits of k as coefficients, constant first
+            elements = (tail[::-1] for tail in product(range(p), repeat=n))
+            yield from islice(elements, 2, None)
+        candidates = ((gen, mod) for gen in chain([x], after_x()))
     for gen, cand in candidates:
         if _has_full_order(gen, cand, p, q, radical):
             return FieldCtx(p, n, cand, FFElem(gen))

@@ -98,8 +98,12 @@ def _check_gamma_modulus(p: int, precision: int) -> None:
 
     Any K past the cap's bit length is over it for every p >= 2, so a huge
     precision never forms p^K.  A K below 1 is refused later, by PadicInt;
-    here it is sized as K = 1, so every p above the cap is refused.
+    here it is sized as K = 1.  A p above the cap is refused whatever K is,
+    with a message that does not ask for a lower precision.
     """
+    if p > GAMMA_MAX_MODULUS:
+        raise ValueError(
+            f"gamma_p needs p^K <= 2^27, got p = {p}, above the cap at every precision")
     if (precision >= GAMMA_MAX_MODULUS.bit_length()
             or p ** max(precision, 1) > GAMMA_MAX_MODULUS):
         raise ValueError(

@@ -313,8 +313,24 @@ def test_gamma_cap_comes_before_primality(capsys):
                  "--x", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: gamma_p needs p^K <= 2^27, got p^K = "
-                            "1000000000000000003^1; lower the precision\n")
+    assert captured.err == ("error: gamma_p needs p^K <= 2^27, got p = "
+                            "1000000000000000003, above the cap at every precision\n")
+
+
+@pytest.mark.parametrize("argv,refused", [
+    # each ran for minutes in trial division; now refused in about 2 s
+    (["gauss", "--field", "p=3,n=43", "--j", "1"],
+     "cannot factor q - 1 = 3^43 - 1: trial division stops at 2^24"),
+    (["kloosterman", "--field", "p=1000000000000000003,n=1", "--a", "1"],
+     "cannot factor 1000000000000000003: trial division stops at 2^24"),
+    (["gauss", "--field", "p=3,n=2000", "--j", "1"],
+     "fields need q = p^n <= 2^128, got p = 3, n = 2000"),
+])
+def test_field_construction_bounds_exit_two(argv, refused, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused}\n"
 
 
 def test_gauss_json(capsys):

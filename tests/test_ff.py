@@ -348,6 +348,186 @@ def test_custom_irreducible_non_primitive_modulus():
     assert len(seen) == ctx.q - 1
 
 
+# ------------------------------------- field construction against the parent
+
+def parent_is_prime(m):
+    """The earlier primality test: its own trial-division loop, unbounded."""
+    if m < 2:
+        return False
+    if m % 2 == 0:
+        return m == 2
+    f = 3
+    while f * f <= m:
+        if m % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def parent_make_field(p, n, modulus=None):
+    """The earlier make_field, kept as the reference: a separate primality
+    loop, the smallest primitive root at n = 1, and a user modulus that is
+    trial-divided before x is tested.  Returns (modulus, generator)."""
+    if not parent_is_prime(p) or p == 2:
+        raise FieldError(f"p must be an odd prime, got {p}")
+    if n < 1:
+        raise FieldError(f"n must be a positive integer, got {n}")
+    q = p ** n
+    radical = ksum.ff.distinct_prime_factors(q - 1)
+    if modulus is None and n == 1:
+        g = next(g for g in range(2, p)
+                 if all(pow(g, (p - 1) // r, p) != 1 for r in radical))
+        return ((-g) % p, 1), (g,)
+    if modulus is None:
+        return parent_default_search(p, n)
+    mod = tuple(int(c) % p for c in modulus)
+    if len(mod) != n + 1:
+        raise FieldError(
+            f"modulus needs {n + 1} coefficients for degree {n}, got {len(mod)}")
+    if mod[-1] != 1:
+        raise FieldError("modulus must be monic")
+    if not ksum.ff._is_irreducible(mod, p):
+        raise FieldError(f"modulus {mod} is reducible over F_{p}")
+    x = ((-mod[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
+    elements = (tail[::-1] for tail in itertools.product(range(p), repeat=n))
+    for gen in itertools.chain([x], itertools.islice(elements, 2, None)):
+        if ksum.ff._has_full_order(gen, mod, p, q, radical):
+            return mod, gen
+    raise AssertionError("no generator found")
+
+
+def _built(build, *args):
+    try:
+        ctx = build(*args)
+    except FieldError as e:
+        return str(e)
+    return ctx if isinstance(ctx, tuple) else (ctx.modulus, ctx.generator.coeffs)
+
+
+def test_is_prime_matches_parent_loop():
+    for m in range(-5, 3000):
+        assert ksum.ff.is_prime(m) == parent_is_prime(m), m
+
+
+def test_prime_fields_match_parent():
+    primes = [p for p in range(3, 3000) if parent_is_prime(p)]
+    assert len(primes) == 429
+    for p in primes:
+        assert _built(make_field, p, 1) == _built(parent_make_field, p, 1), p
+
+
+def test_user_moduli_match_parent():
+    # every monic modulus: the same (modulus, generator) or the same error
+    count = 0
+    for p, n in [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2),
+                 (3, 3), (5, 3), (3, 4), (3, 5)]:
+        for tail in itertools.product(range(p), repeat=n):
+            mod = tail + (1,)
+            assert _built(make_field, p, n, mod) == _built(parent_make_field, p, n, mod), mod
+            count += 1
+    assert count == 585
+    for args in [(4, 2), (2, 3), (3, 0), (9, -1), (1, 5), (3, 2, (1, 1)),
+                 (3, 2, (2, 0, 2)), (3, 2, (0, 0, 1))]:
+        assert _built(make_field, *args) == _built(parent_make_field, *args), args
+
+
+def _count_irreducibility_tests(monkeypatch):
+    calls = []
+
+    def counted(mod, p, _real=ksum.ff._is_irreducible):
+        calls.append(mod)
+        return _real(mod, p)
+    monkeypatch.setattr(ksum.ff, "_is_irreducible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 16, 21])
+def test_echoed_default_modulus_skips_trial_division(n, monkeypatch):
+    # x of full order proves the modulus irreducible
+    default = make_field(3, n)
+    calls = _count_irreducibility_tests(monkeypatch)
+    ctx = make_field(3, n, default.modulus)
+    assert (ctx.modulus, ctx.generator) == (default.modulus, default.generator)
+    assert calls == []
+
+
+def test_user_modulus_tests_x_once_then_trial_divides(monkeypatch):
+    events = []
+
+    def order(x, modulus, p, q, radical, _real=ksum.ff._has_full_order):
+        events.append(x)
+        return _real(x, modulus, p, q, radical)
+
+    def irreducible(mod, p, _real=ksum.ff._is_irreducible):
+        events.append("irreducible")
+        return _real(mod, p)
+    monkeypatch.setattr(ksum.ff, "_has_full_order", order)
+    monkeypatch.setattr(ksum.ff, "_is_irreducible", irreducible)
+    default = make_field(3, 8).modulus
+    events.clear()
+    make_field(3, 8, default)
+    assert events == [(0, 1) + (0,) * 6]
+    events.clear()
+    # x has order 5 here: x, then one trial division, then the elements
+    # from index 2 (index 3 is x again)
+    ctx = make_field(3, 4, (1, 1, 1, 1, 1))
+    assert events == [(0, 1, 0, 0), "irreducible",
+                      (2, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)]
+    assert ctx.generator.coeffs == (2, 1, 0, 0)
+    events.clear()
+    with pytest.raises(FieldError, match=r"modulus \(1, 0, 0, 0, 1\) is reducible over F_3"):
+        make_field(3, 4, (1, 0, 0, 0, 1))  # (x^2 + x + 2)(x^2 + 2x + 2)
+    assert events == [(0, 1, 0, 0), "irreducible"]
+
+
+# ------------------------------------------------ trial-division and size bounds
+
+def test_factoring_refuses_composite_cofactor_past_bound(monkeypatch):
+    monkeypatch.setattr(ksum.ff, "MAX_TRIAL_DIVISOR", 100)
+    with pytest.raises(FieldError, match="cannot factor 10403: trial division stops"):
+        ksum.ff.distinct_prime_factors(101 * 103)
+    with pytest.raises(FieldError, match="cannot factor 3 \\* 103 \\* 107"):
+        ksum.ff.distinct_prime_factors(3 * 103 * 107, "3 * 103 * 107")
+    with pytest.raises(FieldError, match="cannot factor 31827"):
+        ksum.ff.is_prime(3 * 103 * 103)   # the parent's loop stopped at 3
+
+
+def test_factoring_certifies_prime_cofactor_below_bound_squared(monkeypatch):
+    monkeypatch.setattr(ksum.ff, "MAX_TRIAL_DIVISOR", 100)
+    # 10007 is prime and below 101^2, the first divisor past the bound
+    assert ksum.ff.distinct_prime_factors(2 * 3 ** 4 * 10007) == (2, 3, 10007)
+    assert ksum.ff.is_prime(10007)
+    assert ksum.ff.distinct_prime_factors(97 ** 2) == (97,)
+
+
+def test_bound_admits_field_that_divides_close_to_it():
+    # 3^37 - 1 = 2 * 13097927 * 17189128703: trial division reaches 2^23.6
+    assert make_field(3, 37).q == 3 ** 37
+
+
+def test_bound_refuses_field_naming_p_and_n(monkeypatch):
+    monkeypatch.setattr(ksum.ff, "MAX_TRIAL_DIVISOR", 100)
+    # 3^13 - 1 = 2 * 797161, a prime cofactor above 101^2
+    with pytest.raises(FieldError, match=r"^cannot factor q - 1 = 3\^13 - 1: "
+                                         r"trial division stops at 2\^24$"):
+        make_field(3, 13)
+    assert make_field(3, 12).q == 3 ** 12   # 3^12 - 1 = 2^4 * 5 * 7 * 13 * 73
+
+
+def test_size_guard_refuses_before_factoring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("trial division ran")
+    monkeypatch.setattr(ksum.ff, "distinct_prime_factors", refuse)
+    for p, n in [(3, 2000), (3, 81), (5, 56), (3, 10 ** 9), (2 ** 129 + 1, 1)]:
+        with pytest.raises(FieldError, match=rf"^fields need q = p\^n <= 2\^128, "
+                                             rf"got p = {p}, n = {n}$"):
+            make_field(p, n)
+    # 3^80 <= 2^128 < 3^81 and 5^55 <= 2^128 < 5^56: these pass the guard
+    for p, n in [(3, 80), (5, 55)]:
+        with pytest.raises(AssertionError, match="trial division ran"):
+            make_field(p, n)
+
+
 # ----------------------------------------------------------------- tables
 
 @pytest.mark.parametrize("p,n,modulus", [
