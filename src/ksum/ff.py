@@ -23,8 +23,8 @@ class FieldError(ValueError):
 
 # The most entries of per-element state a run may build: the field tables,
 # the Gauss-square support, and the indices of an --all or --sample scope.
-# `verify --check mod27 --all` peaks near 0.9 KB per element at p = 3,
-# n = 11..12, so a sweep at the cap stays near 2 GB; 3^13 is admitted.
+# `verify --check mod27 --all` peaks near 0.75 KB per element at p = 3,
+# n = 11..12, so a sweep at the cap stays under 2 GB; 3^13 is admitted.
 MAX_TABLE_Q = 2 ** 21
 
 
@@ -386,6 +386,29 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
         if _has_full_order(gen, cand, p, q, radical):
             return FieldCtx(p, n, cand, FFElem(gen))
     raise FieldError("no generator of full order found")  # unreachable
+
+
+def _orbit_leaders(ctx: FieldCtx, indices: Sequence[int], exponents: bool = False) -> list[int]:
+    """The least index of each index's Frobenius orbit, in index order.
+
+    Elements move by a -> a^p, that is log a -> p * log a mod q-1 with 0
+    fixed; Gauss indices (`exponents`) move by j -> p * j mod q-1.  `indices`
+    is a whole domain in increasing order, so the first index met in an orbit
+    is its least, and walking the cycle from it labels every member.
+    """
+    p, m = ctx.p, ctx.q - 1
+    if exponents:
+        step = lambda j: p * j % m
+    else:
+        t = ctx.tables
+        step = lambda i: t.exp[p * t.log[i] % m] if i else 0
+    least: list[Optional[int]] = [None] * ctx.q
+    for i in indices:
+        k = i
+        while least[k] is None:
+            least[k] = i
+            k = step(k)
+    return [least[i] for i in indices]
 
 
 @lru_cache(maxsize=None)

@@ -127,8 +127,9 @@ def _count_table(ctx: FieldCtx) -> list[tuple[int, ...]]:
             for s in range(p):
                 c[s][b::p] = reduce(lambda u, v: map(operator.add, u, v),
                                     [slabs[(s - b * x) % p][x] for x in range(p)])
-    rows = list(zip(*c))
-    if any(sum(r) != q for r in rows):
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}    # one object per distinct row
+    rows = [shared.setdefault(r, r) for r in zip(*c)]
+    if any(sum(r) != q for r in shared):
         raise InternalCheckError("trace counts do not cover the field")
     return rows
 

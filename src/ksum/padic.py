@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Union
 
-from .ff import (FFElem, FieldCtx, _mulmod, _powmod, build_subset, check_table_cap,
-                 power_sum)
+from .ff import (FFElem, FieldCtx, _mulmod, _orbit_leaders, _powmod, build_subset,
+                 check_table_cap, power_sum)
 from .kloos import CongruenceReport, InternalCheckError, kloosterman
 
 
@@ -256,15 +256,10 @@ class UnramCtx:
         this support is the full sum.
         """
         check_table_cap(self.field.q, f"the Gauss-square support of F_{self.p}^{self.n}")
-        m = self.field.q - 1
-        value: list = [None] * m
-        for j in range(1, m):
-            if value[j] is None:
-                c = gauss_square_mod27(self, j).residue
-                k = j
-                while value[k] is None:
-                    value[k] = c
-                    k = self.p * k % m
+        js = range(1, self.field.q - 1)
+        value = [0] * (self.field.q - 1)
+        for j, r in zip(js, _orbit_leaders(self.field, js, exponents=True)):
+            value[j] = gauss_square_mod27(self, j).residue if j == r else value[r]
         return tuple((j, c) for j, c in enumerate(value) if c)
 
 

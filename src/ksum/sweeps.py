@@ -9,7 +9,7 @@ report but never written to the output stream for the same reason.
 An `--all` sweep of elements or of the whole field, at n >= 2, first
 attaches every counting row to the field context, from one transform in
 this process (`kloos._count_table`); workers receive the rows with the
-pickled context.  `spectrum` only reads rows, so it never starts a pool.
+pickled context.  `spectrum` reads one row per orbit, so it starts no pool.
 
 A check flagged `orbit` reports the same values at a and a^p (elements)
 or at j and p*j mod q-1 (Gauss indices).  Its `--all` sweep evaluates
@@ -33,7 +33,7 @@ from typing import Callable, Optional, TextIO
 
 from . import kloos, padic
 from .cyclo import CycInt
-from .ff import FFElem, FieldCtx, FieldError, check_table_cap, make_field
+from .ff import FFElem, FieldCtx, FieldError, _orbit_leaders, check_table_cap, make_field
 from .kloos import CongruenceReport, InternalCheckError
 
 
@@ -66,8 +66,8 @@ class SweepReport:
 class CheckDef:
     """One check: its witness domain, evaluator, requirement and lift.
 
-    `evaluate(ctx, uctx, idx)` returns the reports at one index (for the
-    aggregate domain, the counting row the aggregator consumes).  It looks
+    `evaluate(ctx, uctx, idx)` returns the reports at one index; the
+    aggregate domain has none, as `_spectrum_reports` reads its rows.  It looks
     its check function up at call time, so a rebound module attribute is
     what every sweep calls.  `precision` is (default, minimum) lift digits,
     or None when the check needs no p-adic lift.  `orbit` marks a check
@@ -77,7 +77,7 @@ class CheckDef:
     """
 
     domain: str                      # element | exponent | aggregate
-    evaluate: Callable[[FieldCtx, object, int], list]
+    evaluate: Optional[Callable[[FieldCtx, object, int], list]]
     p: Optional[int] = None          # required characteristic, None for any
     min_n: int = 1
     precision: Optional[tuple[int, int]] = None
@@ -116,7 +116,7 @@ CHECKS: dict[str, CheckDef] = {
     "wt1": CheckDef(
         "exponent", lambda c, u, i: [padic.check_gauss_square_mod27(u, i)],
         p=3, min_n=3, precision=(3, 3), orbit=True),
-    "spectrum": CheckDef("aggregate", lambda c, u, i: [kloos._counts_by_index(c, i)]),
+    "spectrum": CheckDef("aggregate", None),
 }
 
 
@@ -167,45 +167,24 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
     raise JobError(f"unknown scope {kind!r}")
 
 
-def _orbit_representatives(ctx: FieldCtx, domain: str, indices: list[int]) -> list[int]:
-    """The least index of each index's Frobenius orbit, in index order.
-
-    Elements move by a -> a^p, that is log a -> p * log a mod q-1 with 0
-    fixed; Gauss indices move by j -> p * j mod q-1.  `indices` is a whole
-    domain in increasing order, so the first index met in an orbit is its
-    least, and walking the cycle from it labels every member.
-    """
-    p, m = ctx.p, ctx.q - 1
-    if domain == "exponent":
-        step = lambda j: p * j % m
-    else:
-        t = ctx.tables
-        step = lambda i: t.exp[p * t.log[i] % m] if i else 0
-    least: dict[int, int] = {}
-    for i in indices:
-        k = i
-        while k not in least:
-            least[k] = i
-            k = step(k)
-    return [least[i] for i in indices]
-
-
-def _spectrum_reports(ctx: FieldCtx, counts_list: list[tuple[int, ...]]):
+def _spectrum_reports(ctx: FieldCtx):
     """Checksum and divisibility reports plus the value histogram.
 
-    `counts_list` holds the counting row of every field index in order, as
-    the aggregate domain only sweeps the whole field.  Each distinct row is
-    valued once; rows are taken in order of first appearance, so a bad
-    row's witness is the first index holding it, as in an index-order scan.
+    Tr(1/x^p + a^p*x^p) = Tr(1/x + a*x), so the row at each orbit's least
+    index stands for the whole orbit.  Each distinct row is valued once, in
+    order of first appearance; the least index holding a row leads its
+    orbit, so a bad row's witness is the first index holding it.
     """
     p = ctx.p
+    rows: dict[tuple[int, ...], list[int]] = {}     # row -> [first index, count]
+    for a, size in Counter(_orbit_leaders(ctx, range(ctx.q))).items():
+        rows.setdefault(kloos._counts_by_index(ctx, a), [a, 0])[1] += size
     hist: dict = {}
     totals = [0] * p
-    for counts, mult in Counter(counts_list).items():
+    for counts, (idx, mult) in rows.items():
         value = CycInt.from_power_counts(p, counts)
         key = value.as_rational() if p == 3 else value.coords
         if key is None:
-            idx = counts_list.index(counts)
             raise InternalCheckError(
                 f"ternary Kloosterman sum is not rational {_witness('spectrum', ctx, idx)}")
         hist[key] = hist.get(key, 0) + mult
@@ -249,20 +228,30 @@ def run_verification(job: VerificationJob) -> SweepReport:
         raise JobError(f"check {job.check!r} takes no precision, got {job.precision}")
 
     indices, scope_echo = _resolve_scope(job, ctx, cd.domain)
-    whole = scope_echo["kind"] == "all"
-    if whole and cd.domain != "exponent" and ctx.n > 1:
-        # at n = 1 the transform's p^3 one-entry slab sums cost more than counting
-        ctx.count_rows = kloos._count_table(ctx)
-    reps = indices
-    if cd.orbit and whole:
-        reps = _orbit_representatives(ctx, cd.domain, indices)
-    evaluated = [i for i, r in zip(indices, reps) if i == r]
     cpus = os.cpu_count() or 1
     workers = job.jobs if job.jobs is not None else cpus
     if workers < 1:
         raise JobError(f"worker count must be positive, got {job.jobs}")
-    # the aggregate domain only reads rows: a pool would just copy them back
-    workers = 1 if cd.domain == "aggregate" else min(workers, cpus, len(evaluated))
+    whole = scope_echo["kind"] == "all"
+    if whole and cd.domain != "exponent" and ctx.n > 1:
+        # at n = 1 the transform's p^3 one-entry slab sums cost more than counting
+        ctx.count_rows = kloos._count_table(ctx)
+    echo = {
+        "field": {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus),
+                  "generator": list(ctx.generator.coeffs)},
+        "check": job.check,
+        "scope": scope_echo,
+        "precision": precision,
+    }
+    if cd.domain == "aggregate":
+        cases, histogram = _spectrum_reports(ctx)
+        return SweepReport(echo, len(indices), cases, [r for r in cases if not r.passed],
+                           histogram, time.perf_counter() - t0)
+    reps = indices
+    if cd.orbit and whole:
+        reps = _orbit_leaders(ctx, indices, cd.domain == "exponent")
+    evaluated = [i for i, r in zip(indices, reps) if i == r]
+    workers = min(workers, cpus, len(evaluated))
     evaluate = partial(_evaluate, job.check, ctx, uctx)
     if workers > 1:
         with Pool(processes=workers) as pool:
@@ -277,22 +266,9 @@ def run_verification(job: VerificationJob) -> SweepReport:
                    for i, rep in zip(indices, reps)]
 
     cases = [r for rs in results for r in rs]
-    histogram: Optional[dict] = None
-    if cd.domain == "aggregate":
-        cases, histogram = _spectrum_reports(ctx, cases)
-    elif cd.histogram:
-        histogram = dict(sorted(Counter(r.lhs for r in cases).items()))
-
-    failures = [r for r in cases if not r.passed]
-    echo = {
-        "field": {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus),
-                  "generator": list(ctx.generator.coeffs)},
-        "check": job.check,
-        "scope": scope_echo,
-        "precision": precision,
-    }
-    return SweepReport(echo, len(indices), cases, failures, histogram,
-                       time.perf_counter() - t0)
+    histogram = dict(sorted(Counter(r.lhs for r in cases).items())) if cd.histogram else None
+    return SweepReport(echo, len(indices), cases, [r for r in cases if not r.passed],
+                       histogram, time.perf_counter() - t0)
 
 
 def _jsonable(v):

@@ -459,6 +459,21 @@ def test_one_witness_scopes_build_no_table(argv, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "p=3,n=5", "--check", "mod27", "--all", "--jobs", "0"],
+    ["spectrum", "--field", "p=3,n=5", "--jobs", "0"],
+], ids=["verify", "spectrum"])
+def test_bad_worker_count_refused_before_the_table(argv, monkeypatch, capsys):
+    def refuse(ctx):
+        raise AssertionError("the whole-field table was built for a refused job")
+
+    monkeypatch.setattr(ksum.kloos, "_count_table", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: worker count must be positive, got 0\n"
+
+
 def test_whole_field_table_is_built_once_in_the_parent(monkeypatch, capsys):
     pid = os.getpid()
     built = []

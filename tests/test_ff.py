@@ -571,6 +571,33 @@ def test_tables_decode_no_element(monkeypatch):
     assert len(ctx.tables.trace_by_log2) == 2 * (ctx.q - 1)
 
 
+# ------------------------------------------------------- Frobenius orbits
+
+def oracle_least(step, i):
+    """The least member of the cycle of `step` through i."""
+    least, k = i, step(i)
+    while k != i:
+        least, k = min(least, k), step(k)
+    return least
+
+
+@pytest.mark.parametrize("p,n,modulus", [(3, n, None) for n in range(1, 7)]
+                         + [(5, n, None) for n in range(1, 4)]
+                         + [(7, 2, None), (11, 2, None),
+                            (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1))])
+def test_orbit_leaders_match_frobenius_oracle(p, n, modulus):
+    # elements move by the polynomial Frobenius, which reads no table; the
+    # first user modulus has a generator other than x
+    ctx = make_field(p, n, modulus)
+    frob = lambda i: ctx.index(ctx.frobenius(ctx.element_at(i)))
+    elements = range(ctx.q)
+    assert ksum.ff._orbit_leaders(ctx, elements) == [oracle_least(frob, i) for i in elements]
+    m = ctx.q - 1
+    js = range(1, m)
+    assert (ksum.ff._orbit_leaders(ctx, js, exponents=True)
+            == [oracle_least(lambda j: p * j % m, j) for j in js])
+
+
 # ------------------------------------------------------------- arithmetic
 
 def test_inverse_matches_ext_euclid_f27(f27):

@@ -231,3 +231,9 @@ def test_count_table_matches_per_row_oracle(p, n, modulus):
     ctx = make_field(p, n, modulus)
     rows = ksum.kloos._count_table(ctx)
     assert rows == [ksum.kloos._count_row(ctx, i) for i in range(ctx.q)]
+
+
+def test_count_table_shares_equal_rows():
+    # one tuple object per distinct row, so the table costs a pointer per element
+    rows = ksum.kloos._count_table(make_field(3, 6))
+    assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)

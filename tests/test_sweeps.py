@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+import ksum.kloos
 from ksum import padic
+from ksum.cyclo import CycInt
 from ksum.ff import make_field
 from ksum.kloos import CongruenceReport
 from ksum.sweeps import (CHECKS, JobError, SweepReport, VerificationJob,
@@ -165,6 +167,53 @@ def test_spectrum_sweep_reports():
     summary = json.loads(text.splitlines()[-1])
     assert summary["histogram"] == {"-9": 1, "-6": 3, "-3": 6, "0": 4,
                                     "3": 6, "6": 3, "9": 4}
+
+
+def oracle_spectrum(ctx):
+    """Reports and histogram from every index's own row, tallied index by index."""
+    p, hist, totals = ctx.p, {}, [0] * ctx.p
+    for i in range(ctx.q):
+        counts = ksum.kloos._count_row(ctx, i)
+        value = CycInt.from_power_counts(p, counts)
+        key = value.as_rational() if p == 3 else value.coords
+        assert key is not None, i
+        hist[key] = hist.get(key, 0) + 1
+        totals = [u + v for u, v in zip(totals, counts)]
+    total_value = CycInt.from_power_counts(p, totals)
+    checksum = total_value.as_rational()
+    reports = [CongruenceReport(
+        "spectrum/checksum", checksum if checksum is not None else total_value.coords,
+        ctx.q, None, checksum == ctx.q, "sum-over-field")]
+    if p == 3 and ctx.n > 1:
+        reports += [CongruenceReport("spectrum/divisible-by-3", key % 3, 0, 3, key % 3 == 0, key)
+                    for key in sorted(hist)]
+    return reports, dict(sorted(hist.items()))
+
+
+@pytest.mark.parametrize("p,n,modulus", [(3, n, None) for n in range(1, 7)]
+                         + [(5, n, None) for n in range(1, 4)]
+                         + [(7, 2, None), (11, 2, None),
+                            (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1))])
+def test_spectrum_matches_per_index_aggregation(p, n, modulus):
+    # spectrum reads one row per Frobenius orbit; the oracle reads every index
+    rep = run_verification(VerificationJob(p, n, "spectrum", modulus=modulus, jobs=1))
+    ctx = make_field(p, n, modulus)
+    assert (rep.cases, rep.histogram) == oracle_spectrum(ctx)
+    assert rep.total == ctx.q
+
+
+def test_spectrum_reads_one_row_per_orbit(monkeypatch):
+    read = []
+    real = ksum.kloos._counts_by_index
+
+    def counted(ctx, k):
+        read.append(k)
+        return real(ctx, k)
+
+    monkeypatch.setattr(ksum.kloos, "_counts_by_index", counted)
+    rep = run_verification(VerificationJob(3, 7, "spectrum", jobs=1))
+    assert (rep.total, len(read)) == (2187, 315)
+    assert read == sorted(read)
 
 
 def test_custom_modulus_echoed():
