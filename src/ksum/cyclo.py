@@ -214,8 +214,9 @@ def product_linear(roots: Sequence[CycInt]) -> IntPolynomial:
     p = roots[0].p
     poly: list[CycInt] = [CycInt.one(p)]
     for r in roots:
+        neg = -r
         shifted = [CycInt.zero(p)] + poly          # x * poly
-        scaled = [(-r) * c for c in poly] + [CycInt.zero(p)]
+        scaled = [neg * c for c in poly] + [CycInt.zero(p)]
         poly = [u + v for u, v in zip(shifted, scaled)]
     out = []
     for idx, c in enumerate(poly):

@@ -388,25 +388,37 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     raise FieldError("no generator of full order found")  # unreachable
 
 
-def _orbit_leaders(ctx: FieldCtx, indices: Sequence[int], exponents: bool = False) -> list[int]:
-    """The least index of each index's Frobenius orbit, in index order.
+def _orbit_leaders(ctx: FieldCtx, indices: Sequence[int], exponents: bool = False,
+                   squares: bool = False) -> list[int]:
+    """The least index of each index's orbit, in index order.
 
-    Elements move by a -> a^p, that is log a -> p * log a mod q-1 with 0
-    fixed; Gauss indices (`exponents`) move by j -> p * j mod q-1.  `indices`
-    is a whole domain in increasing order, so the first index met in an orbit
-    is its least, and walking the cycle from it labels every member.
+    Elements move by Frobenius a -> a^p, that is log a -> p * log a mod q-1
+    with 0 fixed; Gauss indices (`exponents`) move by j -> p * j mod q-1.
+    With `squares`, elements also move by a -> s*a, s = g^d with
+    d = 2(q-1)/(p-1), which runs over the squares of F_p^*: log a -> log a + d.
+    The two steps commute, but need not generate their group together, so
+    each Frobenius step labels the whole coset log a + dZ it lands in; at
+    p = 3, s = 1 and the orbits are Frobenius orbits.  `indices` is a whole
+    domain in increasing order, so the first index met in an orbit is its
+    least, and walking the Frobenius cycle from it labels every member: once
+    it meets a labelled coset, every later coset of the cycle is labelled.
     """
-    p, m = ctx.p, ctx.q - 1
+    p, m, d = ctx.p, ctx.q - 1, 0
     if exponents:
         step = lambda j: p * j % m
     else:
         t = ctx.tables
         step = lambda i: t.exp[p * t.log[i] % m] if i else 0
+        d = 2 * m // (p - 1) if squares and p > 3 else 0
     least: list[Optional[int]] = [None] * ctx.q
     for i in indices:
         k = i
         while least[k] is None:
-            least[k] = i
+            if d and k:
+                for s in range(t.log[k] % d, m, d):
+                    least[t.exp[s]] = i
+            else:
+                least[k] = i
             k = step(k)
     return [least[i] for i in indices]
 

@@ -598,6 +598,44 @@ def test_orbit_leaders_match_frobenius_oracle(p, n, modulus):
             == [oracle_least(lambda j: p * j % m, j) for j in js])
 
 
+def oracle_joint_leaders(ctx):
+    """The least member of each element's orbit under a -> a^p and a -> c^2 a,
+    closed by a stack over the polynomial Frobenius and multiply."""
+    scales = [ctx.from_int(c * c) for c in range(1, ctx.p)]
+    least = [None] * ctx.q
+    for i in range(ctx.q):
+        if least[i] is not None:
+            continue
+        least[i], todo = i, [ctx.element_at(i)]
+        while todo:
+            a = todo.pop()
+            for b in [ctx.frobenius(a)] + [ctx.mul(a, s) for s in scales]:
+                if least[ctx.index(b)] is None:
+                    least[ctx.index(b)] = i
+                    todo.append(b)
+    return least
+
+
+@pytest.mark.parametrize("p,n,modulus", [(5, n, None) for n in range(1, 5)]
+                         + [(7, n, None) for n in range(1, 4)]
+                         + [(11, 2, None), (13, 1, None), (13, 2, None),
+                            (5, 2, (2, 1, 1)), (7, 2, (3, 1, 1))])
+def test_orbit_leaders_match_joint_oracle(p, n, modulus):
+    # the oracle reads no exp or log table
+    ctx = make_field(p, n, modulus)
+    elements = range(ctx.q)
+    assert ksum.ff._orbit_leaders(ctx, elements, squares=True) == oracle_joint_leaders(ctx)
+
+
+@pytest.mark.parametrize("n,modulus", [(n, None) for n in range(1, 7)]
+                         + [(4, (1, 1, 1, 1, 1)), (3, (1, 0, 2, 1))])
+def test_squares_step_is_trivial_at_p3(n, modulus):
+    ctx = make_field(3, n, modulus)
+    elements = range(ctx.q)
+    assert (ksum.ff._orbit_leaders(ctx, elements, squares=True)
+            == ksum.ff._orbit_leaders(ctx, elements))
+
+
 # ------------------------------------------------------------- arithmetic
 
 def test_inverse_matches_ext_euclid_f27(f27):

@@ -285,3 +285,52 @@ def test_scoped_runs_evaluate_what_they_name(monkeypatch):
         monkeypatch, VerificationJob(3, 7, "mod27", scope=("element", (0, 1) + (0,) * 5),
                                      jobs=1))
     assert seen == [3]
+
+
+# ------------------------------------------- orbits of a -> a^p and a -> c^2 a
+
+SQUARE_CHECKS = ["moisio", "thm1", "wan"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("p,n,modulus", [(5, 4, None), (7, 3, None), (13, 1, None),
+                                         (13, 2, None), (5, 2, (2, 1, 1))])
+def test_square_orbit_sweep_equals_direct_evaluation(p, n, modulus, jobs):
+    # K(c^2 a) is a Galois conjugate of K(a), so the whole report, witness
+    # aside, is shared by a -> c^2 a; each member still gets its own witness
+    ctx = make_field(p, n, modulus)
+    for check in SQUARE_CHECKS:
+        rep = run_verification(VerificationJob(p, n, check, modulus=modulus, jobs=jobs))
+        direct = [r for i in range(ctx.q) for r in CHECKS[check].evaluate(ctx, None, i)]
+        assert rep.cases == direct, (check, p, n, modulus, jobs)
+
+
+@pytest.mark.parametrize("check,p,n,total,evaluated", [
+    ("moisio", 11, 3, 1331, 91), ("wan", 7, 3, 343, 43), ("thm1", 5, 4, 625, 87)])
+def test_square_orbit_sweep_evaluates_each_orbit_once(monkeypatch, check, p, n,
+                                                      total, evaluated):
+    # Frobenius orbits alone would evaluate 451, 119 and 165
+    rep, seen = _evaluations(monkeypatch, VerificationJob(p, n, check, jobs=1))
+    assert (rep.total, len(seen)) == (total, evaluated)
+    assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("check", ["moisio", "wan"])
+def test_square_orbit_sweep_names_least_failing_witness(monkeypatch, check):
+    # a defect in one conjugate set is reported at the least index holding it
+    ctx = make_field(7, 3)
+    family = lambda i: {kv.value for kv in ksum.kloos.conjugate_family(ctx, ctx.element_at(i))}
+    bad = family(ctx.q - 1)
+    least = min(i for i in range(ctx.q) if family(i) == bad)
+    real = ksum.kloos.product_linear
+
+    def broken(roots):
+        if set(roots) == bad:
+            raise ksum.kloos.NonRationalCoefficient(1, roots[0])
+        return real(roots)
+
+    monkeypatch.setattr(ksum.kloos, "product_linear", broken)
+    with pytest.raises(ksum.kloos.InternalCheckError) as exc:
+        run_verification(VerificationJob(7, 3, check, jobs=1))
+    coeffs = ",".join(map(str, ctx.element_at(least).coeffs))
+    assert str(exc.value).endswith(f"(check {check}, --a {coeffs})")
