@@ -1,10 +1,12 @@
 """Verification sweeps: check registry, parallel execution, report emission.
 
 A job names a field, a check, and a scope (everything, one witness, or a
-seeded sample).  `Pool.map` splits the witnesses into contiguous chunks,
-one per worker, and returns the results in witness order, so output is
-byte-identical regardless of worker count.  Wall time is tracked on the
-report but never written to the output stream for the same reason.
+seeded sample).  One ordered map evaluates the witnesses: `map` in this
+process, or `Pool.imap` over contiguous chunks, one per worker.  Results
+and the first exception arrive in witness order, so output is
+byte-identical regardless of worker count, and a defect names the least
+failing representative at every worker count.  Wall time is tracked on
+the report but never written to the output stream for the same reason.
 
 An `--all` sweep of elements or of the whole field, at n >= 2, first
 attaches every counting row to the field context, from one transform in
@@ -33,10 +35,11 @@ import os
 import random
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import Pool
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import kloos, padic
 from .cyclo import CycInt
@@ -144,7 +147,7 @@ def _evaluate(check: str, ctx: FieldCtx, uctx, idx: int) -> list:
         raise InternalCheckError(f"{e} {_witness(check, ctx, idx)}") from e
 
 
-def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[list[int], dict]:
+def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[Sequence[int], dict]:
     q = ctx.q
     kind = job.scope[0]
     if domain == "aggregate" and kind != "all":
@@ -152,7 +155,7 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[li
     pool = range(q) if domain != "exponent" else range(1, q - 1)
     if kind == "all":
         check_table_cap(q, f"an --all scope of F_{ctx.p}^{ctx.n}", JobError)
-        return list(pool), {"kind": "all"}
+        return pool, {"kind": "all"}
     if kind == "element":
         if domain == "exponent":
             raise JobError(
@@ -255,29 +258,22 @@ def run_verification(job: VerificationJob) -> SweepReport:
     }
     if cd.domain == "aggregate":
         cases, histogram = _spectrum_reports(ctx)
-        return SweepReport(echo, len(indices), cases, [r for r in cases if not r.passed],
-                           histogram, time.perf_counter() - t0)
-    reps = indices
-    if cd.orbit and whole:
-        reps = _orbit_leaders(ctx, indices, cd.domain == "exponent",
-                              squares=cd.domain == "element")
-    evaluated = [i for i, r in zip(indices, reps) if i == r]
-    workers = min(workers, cpus, len(evaluated))
-    evaluate = partial(_evaluate, job.check, ctx, uctx)
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            results = pool.map(evaluate, evaluated,
-                               chunksize=math.ceil(len(evaluated) / workers))
     else:
-        results = [evaluate(idx) for idx in evaluated]
-    if reps is not indices:
-        by_rep = dict(zip(evaluated, results))
+        reps = indices
+        if cd.orbit and whole:
+            reps = _orbit_leaders(ctx, indices, cd.domain == "exponent",
+                                  squares=cd.domain == "element")
+        evaluated = [i for i, r in zip(indices, reps) if i == r]
+        workers = min(workers, cpus, len(evaluated))
+        evaluate = partial(_evaluate, job.check, ctx, uctx)
         member = (lambda i: i) if cd.domain == "exponent" else ctx.element_at
-        results = [[replace(r, witness=member(i)) for r in by_rep[rep]]
-                   for i, rep in zip(indices, reps)]
-
-    cases = [r for rs in results for r in rs]
-    histogram = dict(sorted(Counter(r.lhs for r in cases).items())) if cd.histogram else None
+        with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+            results = (map(evaluate, evaluated) if pool is None else
+                       pool.imap(evaluate, evaluated, math.ceil(len(evaluated) / workers)))
+            by_rep = dict(zip(evaluated, results))
+        cases = [r if i == rep else replace(r, witness=member(i))
+                 for i, rep in zip(indices, reps) for r in by_rep[rep]]
+        histogram = dict(sorted(Counter(r.lhs for r in cases).items())) if cd.histogram else None
     return SweepReport(echo, len(indices), cases, [r for r in cases if not r.passed],
                        histogram, time.perf_counter() - t0)
 

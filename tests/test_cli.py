@@ -549,6 +549,9 @@ def test_workers_bounded_by_cpus_and_witnesses(monkeypatch, capsys):
         def map(self, fn, iterable, chunksize=1):
             return [fn(x) for x in iterable]
 
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
     monkeypatch.setattr(ksum.sweeps, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     args = ["verify", "--field", "p=3,n=4", "--check", "mod27", "--all",

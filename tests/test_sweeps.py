@@ -2,7 +2,10 @@
 
 import io
 import json
+import multiprocessing
+import os
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,8 +13,9 @@ import pytest
 import ksum.kloos
 from ksum import padic
 from ksum.cyclo import CycInt
-from ksum.ff import make_field
-from ksum.kloos import CongruenceReport
+from ksum.cli import main
+from ksum.ff import _orbit_leaders, make_field
+from ksum.kloos import CongruenceReport, InternalCheckError
 from ksum.sweeps import (CHECKS, JobError, SweepReport, VerificationJob,
                          emit_report, run_verification)
 
@@ -334,3 +338,94 @@ def test_square_orbit_sweep_names_least_failing_witness(monkeypatch, check):
         run_verification(VerificationJob(7, 3, check, jobs=1))
     coeffs = ",".join(map(str, ctx.element_at(least).coeffs))
     assert str(exc.value).endswith(f"(check {check}, --a {coeffs})")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched min_poly must reach the workers")
+def test_worker_count_does_not_change_witness(monkeypatch, capsys):
+    # two defects either side of the --jobs 2 chunk boundary, the earlier one
+    # slower: both worker counts name the least failing representative
+    ctx = make_field(7, 3)
+    leaders = sorted(set(_orbit_leaders(ctx, range(ctx.q), squares=True)))
+    assert len(leaders) == 43 and leaders[3] == 7
+    slow, fast = leaders[3], leaders[23]
+    real = ksum.kloos.min_poly
+
+    def broken(c, a):
+        i = c.index(a)
+        if i == slow:
+            time.sleep(0.5)
+        if i in (slow, fast):
+            raise InternalCheckError("injected defect")
+        return real(c, a)
+
+    monkeypatch.setattr(ksum.kloos, "min_poly", broken)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    messages, stderrs = [], []
+    for jobs in (1, 2):
+        with pytest.raises(InternalCheckError) as exc:
+            run_verification(VerificationJob(7, 3, "moisio", jobs=jobs))
+        messages.append(str(exc.value))
+        assert main(["verify", "--field", "p=7,n=3", "--check", "moisio", "--all",
+                     "--jobs", str(jobs)]) == 3
+        stderrs.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("(check moisio, --a 0,1,0)")
+    assert stderrs[0] == stderrs[1]
+    assert "--a 0,1,0" in stderrs[0]
+
+
+# ------------------------------------------- guards of the public check functions
+
+def _one(p, n):
+    return make_field(p, n).one()
+
+
+def _lifted(p, n, precision):
+    return padic.lift_field(make_field(p, n), precision)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ksum.kloos.check_mod9(make_field(5, 2), _one(5, 2)),
+     "mod-9 check requires p = 3"),
+    (lambda: ksum.kloos.check_mod9(make_field(3, 1), _one(3, 1)),
+     "mod-9 check requires n > 1"),
+    (lambda: ksum.kloos.check_mod27(make_field(5, 3), _one(5, 3)),
+     "mod-27 check requires p = 3"),
+    (lambda: ksum.kloos.check_weil_bound(make_field(5, 2), _one(5, 2)),
+     "the rational-integer bound check requires p = 3"),
+    (lambda: padic.gauss_square_mod27(_lifted(5, 3, 3), 1),
+     "squared Gauss sums mod 27 require p = 3"),
+    (lambda: padic.gauss_square_mod27(_lifted(3, 2, 3), 1), "requires n >= 3"),
+    (lambda: padic.gauss_square_mod27(_lifted(3, 3, 2), 1),
+     "requires at least 3 digits of precision"),
+    (lambda: padic.check_fourier_mod27(_lifted(5, 3, 3), _one(5, 3)),
+     "mod-27 Fourier check requires p = 3"),
+    (lambda: padic.check_fourier_mod27(_lifted(3, 2, 3), _one(3, 2)),
+     "mod-27 Fourier check requires n >= 3"),
+    (lambda: padic.check_fourier_mod27(_lifted(3, 3, 2), _one(3, 3)),
+     "mod-27 Fourier check requires >= 3 digits"),
+    (lambda: padic.identity_reports(_lifted(5, 3, 3), _one(5, 3)),
+     "identity bundle requires p = 3"),
+    (lambda: padic.identity_reports(_lifted(3, 2, 3), _one(3, 2)),
+     "identity bundle requires n >= 3"),
+])
+def test_check_functions_refuse_unsupported_fields(call, message):
+    # CHECKS refuses these fields first, so only a direct call reaches the guards
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# ------------------------------------------- tuple-valued cells
+
+def test_tuple_cells_render_as_lists_and_joined_cells():
+    _, text = render(VerificationJob(5, 2, "wan", jobs=1))
+    first = json.loads(text.splitlines()[0])
+    assert (first["witness"], first["lhs"]) == ([0, 0], [1, 2])
+    rep, text = render(VerificationJob(5, 2, "moisio", jobs=1), fmt="csv")
+    assert "moisio,1:0,0:0:1,0:0:1,5,true" in text.splitlines()
+    case = next(r for r in rep.cases if r.witness.coeffs == (1, 0))
+    bad = replace(case, passed=False)
+    buf = io.StringIO()
+    emit_report(replace(rep, cases=[bad], failures=[bad], total=1), "summary", buf)
+    assert buf.getvalue().splitlines()[0] == "FAIL moisio witness=1:0 lhs=0:0:1 rhs=0:0:1"
