@@ -11,6 +11,7 @@ it is not frozen: a whole-field sweep attaches `count_rows` to it.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
@@ -121,6 +122,24 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _has_root(f: tuple[int, ...], p: int) -> bool:
+    """Whether the monic f of degree n >= 2 has a root in F_p.
+
+    The roots of f in F_p are those of gcd(f, x^p - x), found from x^p mod f
+    at the cost of about log2(p) products, not p evaluations.
+    """
+    h = list(_powmod((0, 1) + (0,) * (len(f) - 3), p, f, p))
+    h[1] = (h[1] - 1) % p
+    g = f
+    while any(h):
+        while not h[-1]:
+            h.pop()
+        inv = pow(h[-1], -1, p)
+        g, h = tuple(c * inv % p for c in h), g
+        h = list(_rem(h, g, p))
+    return len(g) > 1
+
+
 def _has_full_order(x: tuple[int, ...], modulus: tuple[int, ...], p: int, q: int,
                     radical: tuple[int, ...]) -> bool:
     # ord(x) = q-1 in F_p[t]/(modulus) forces the quotient to be a field,
@@ -169,6 +188,11 @@ class ExponentSet:
             if (s * self.p) % m not in members:
                 raise FieldError(
                     f"exponent set {self.kind!r} is not closed under s -> p*s mod q-1")
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, int], ...]:
+        """(least member r, length d) of each orbit of s -> p*s mod q-1, by r."""
+        return tuple(Counter(_orbit_leaders(self, self.exponents, exponents=True)).items())
 
 
 class FieldTables(NamedTuple):
@@ -360,12 +384,14 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
         candidates = (((g,), ((-g) % p, 1)) for g in range(2, p))
     elif modulus is None:
         # only c0 with a norm (-1)^n * c0 that generates F_p^* can give a
-        # primitive modulus; in order, they keep the candidates lexicographic
+        # primitive modulus; in order, they keep the candidates lexicographic.
+        # A candidate with a root in F_p is reducible and is never powered.
         x = (0, 1) + (0,) * (n - 2)
-        candidates = ((x, (c0,) + mid + (1,)) for c0 in range(1, p)
-                      if all(pow((-1) ** n * c0, (p - 1) // r, p) != 1
-                             for r in radical if (p - 1) % r == 0)
-                      for mid in product(range(p), repeat=n - 1))
+        monic = ((c0,) + mid + (1,) for c0 in range(1, p)
+                 if all(pow((-1) ** n * c0, (p - 1) // r, p) != 1
+                        for r in radical if (p - 1) % r == 0)
+                 for mid in product(range(p), repeat=n - 1))
+        candidates = ((x, cand) for cand in monic if not _has_root(cand, p))
     else:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != n + 1:
@@ -388,8 +414,8 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     raise FieldError("no generator of full order found")  # unreachable
 
 
-def _orbit_leaders(ctx: FieldCtx, indices: Sequence[int], exponents: bool = False,
-                   squares: bool = False) -> list[int]:
+def _orbit_leaders(ctx: FieldCtx | ExponentSet, indices: Sequence[int],
+                   exponents: bool = False, squares: bool = False) -> list[int]:
     """The least index of each index's orbit, in index order.
 
     Elements move by Frobenius a -> a^p, that is log a -> p * log a mod q-1
@@ -402,6 +428,9 @@ def _orbit_leaders(ctx: FieldCtx, indices: Sequence[int], exponents: bool = Fals
     domain in increasing order, so the first index met in an orbit is its
     least, and walking the Frobenius cycle from it labels every member: once
     it meets a labelled coset, every later coset of the cycle is labelled.
+    An exponent walk reads only p and q, so an ExponentSet may stand for its
+    field; a domain under half the field is labelled in a dict, so the walk
+    over a small exponent set allocates nothing of the field's size.
     """
     p, m, d = ctx.p, ctx.q - 1, 0
     if exponents:
@@ -410,7 +439,7 @@ def _orbit_leaders(ctx: FieldCtx, indices: Sequence[int], exponents: bool = Fals
         t = ctx.tables
         step = lambda i: t.exp[p * t.log[i] % m] if i else 0
         d = 2 * m // (p - 1) if squares and p > 3 else 0
-    least: list[Optional[int]] = [None] * ctx.q
+    least = dict.fromkeys(indices) if 2 * len(indices) < ctx.q else [None] * ctx.q
     for i in indices:
         k = i
         while least[k] is None:
@@ -469,16 +498,29 @@ def power_sum(ctx: FieldCtx, subset: ExponentSet, a: FFElem) -> int:
     prime-field value.  Exponent 0 contributes 1 for every a, including 0.
     The set must have been made for a field of the same p and q; its
     modulus may differ, as closure does not depend on it.
+
+    The sum runs once per orbit of s -> p*s mod q-1 (`subset.orbits`), not
+    once per exponent.  For an orbit of length d with least member r, a^r
+    lies in F_{p^d}, and the orbit sums its conjugates: Tr_{p^d/p}(a^r).
+    The absolute trace is n/d times that, so when p does not divide n/d the
+    orbit adds (n/d)^-1 * Tr(a^r), one power and one trace.  An orbit with
+    p | n/d (at p = 3, a Y orbit of length n/3, or {0} when 3 | n) has zero
+    absolute trace; it sums its d powers directly, and that direct part
+    must land in F_p.
     """
     if (subset.p, subset.q) != (ctx.p, ctx.q):
         raise FieldError(
             f"exponent set {subset.kind!r} was made for p={subset.p}, q={subset.q}, "
             f"not p={ctx.p}, q={ctx.q}")
-    p = ctx.p
-    total = [0] * ctx.n
-    for s in subset.exponents:
-        e = ctx.pow(a, s)
-        total = [(u + v) % p for u, v in zip(total, e.coeffs)]
-    if any(total[1:]):
+    p, n, m = ctx.p, ctx.n, ctx.q - 1
+    value, direct = 0, [0] * n
+    for r, d in subset.orbits:
+        if n // d % p:
+            value += pow(n // d, -1, p) * ctx.trace(ctx.pow(a, r))
+        else:
+            for i in range(d):
+                e = ctx.pow(a, r * p ** i % m)
+                direct = [(u + v) % p for u, v in zip(direct, e.coeffs)]
+    if any(direct[1:]):
         raise FieldError("power sum left the prime field")
-    return total[0]
+    return (value + direct[0]) % p

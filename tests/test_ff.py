@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ksum.ff
 from ksum.ff import (ExponentSet, FFElem, FieldCtx, FieldError, build_subset,
                      custom_subset, legendre, make_field, power_sum)
+from ksum.kloos import check_mod27
 
 
 # ---------------------------------------------------------------- oracles
@@ -227,9 +228,34 @@ def test_default_search_matches_parent_skip_loop(p, n):
     assert (ctx.modulus, ctx.generator.coeffs) == parent_default_search(p, n)
 
 
-def test_default_search_tests_every_drawn_candidate(monkeypatch):
+def has_root_oracle(f, p):
+    """Horner evaluation at every point of F_p."""
+    def value(t):
+        v = 0
+        for c in reversed(f):
+            v = (v * t + c) % p
+        return v
+    return any(value(t) == 0 for t in range(p))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3), (13, 2)])
+def test_has_root_matches_evaluation(p, n):
+    for tail in itertools.product(range(p), repeat=n):
+        f = tail + (1,)
+        assert ksum.ff._has_root(f, p) == has_root_oracle(f, p), f
+
+
+def test_has_root_at_large_p():
+    # (x - 5)(x - 7) and x^2 - 2, which has no root mod 1000003 (2 is a non-residue)
+    p = 1000003
+    assert ksum.ff._has_root((35, p - 12, 1), p)
+    assert legendre(2, p) == -1 and not ksum.ff._has_root((p - 2, 0, 1), p)
+
+
+def test_default_search_tests_every_rootless_candidate(monkeypatch):
     # only admissible constant terms are enumerated, so every tuple the
-    # search draws becomes a candidate: at p = 3, n = 8 no c0 in {0, 1}
+    # search draws becomes a candidate, and a candidate with a root in F_p
+    # is skipped before any powering: at p = 3, n = 8 five of the ten drawn
     drawn, tried = [], []
 
     def counting_product(*args, _real=itertools.product, **kwargs):
@@ -244,7 +270,10 @@ def test_default_search_tests_every_drawn_candidate(monkeypatch):
     monkeypatch.setattr(ksum.ff, "_has_full_order", recording)
     ctx = make_field(3, 8)
     assert tried[-1] == ctx.modulus
-    assert len(drawn) == len(tried)
+    rootless = [(2,) + mid + (1,) for mid in drawn
+                if not has_root_oracle((2,) + mid + (1,), 3)]
+    assert tried == rootless
+    assert (len(drawn), len(tried)) == (10, 5)
 
 
 @pytest.mark.parametrize("p,n,modulus", [
@@ -804,3 +833,80 @@ def test_power_sum_lands_in_prime_field(f27):
     for a in f27.elements():
         v = power_sum(f27, x, a)
         assert 0 <= v < 3
+
+
+def per_exponent_power_sums(ctx, subset):
+    """power_sum at every element index, by the per-exponent loop that
+    power_sum ran before it summed by orbit: each power a^s is one table
+    lookup, and no orbit or trace is used.  Index 0 gets 1 from 0^0 alone."""
+    p, m, exp = ctx.p, ctx.q - 1, ctx.tables.exp
+    # each coefficient vector packed into one integer, 16 bits a coefficient,
+    # so that summing vectors is summing integers (no column reaches 2^16)
+    packed = [sum(c << 16 * i for i, c in enumerate(ctx.element_at(j).coeffs))
+              for j in range(ctx.q)]
+    out = [int(0 in subset.exponents)] + [None] * m
+    for k in range(m):
+        w = sum(packed[exp[k * s % m]] for s in subset.exponents)
+        total = [(w >> 16 * i & 0xFFFF) % p for i in range(ctx.n)]
+        assert not any(total[1:])
+        out[exp[k]] = total[0]
+    return out
+
+
+@pytest.mark.parametrize("p,n,modulus,kinds", [(3, n, None, "WXYZ") for n in range(3, 10)] + [
+    (3, 6, (1, 0, 0, 0, 1, 1, 1), "WXYZ"),    # x is not primitive here
+    (5, 2, None, "W"), (5, 3, None, "W"), (5, 5, None, "W"), (7, 2, None, "W"),
+])
+def test_power_sum_matches_per_exponent_oracle(p, n, modulus, kinds):
+    ctx = make_field(p, n, modulus)
+    for kind in kinds:
+        subset = build_subset(ctx, kind)
+        assert ([power_sum(ctx, subset, a) for a in ctx.elements()]
+                == per_exponent_power_sums(ctx, subset)), kind
+
+
+@pytest.mark.parametrize("n,short", [(3, ((13, 1),)), (6, ((91, 2),)), (9, ((757, 3),))])
+def test_y_has_short_orbits_where_3_divides_n(n, short):
+    # a Y orbit {i, i + n/3, i + 2n/3} has length d = n/3, so 3 | n/d and
+    # it takes the direct path
+    orbits = build_subset(make_field(3, n), "Y").orbits
+    assert tuple((r, d) for r, d in orbits if n // d % 3 == 0) == short
+
+
+@pytest.mark.parametrize("exponent", [0, 364])
+def test_power_sum_fixed_exponent_takes_direct_path(exponent, monkeypatch):
+    # {0} and {(q-1)/2} are orbits of length d = 1, and p = 3 divides
+    # n/d = 6, so their absolute trace is 0 and the powers are summed
+    ctx = make_field(3, 6)
+    subset = custom_subset(ctx, (exponent,))
+    assert subset.orbits == ((exponent, 1),)
+    monkeypatch.setattr(FieldCtx, "trace", None)
+    assert ([power_sum(ctx, subset, a) for a in ctx.elements()]
+            == per_exponent_power_sums(ctx, subset))
+
+
+def test_mod27_makes_one_power_per_orbit(monkeypatch):
+    ctx = make_field(3, 7)
+    x, y = build_subset(ctx, "X"), build_subset(ctx, "Y")
+    assert (len(x.exponents), len(x.orbits), len(y.exponents), len(y.orbits)) == (28, 4, 35, 5)
+    calls = []
+
+    def counted(self, a, e, _real=FieldCtx.pow):
+        calls.append(e)
+        return _real(self, a, e)
+    monkeypatch.setattr(FieldCtx, "pow", counted)
+    for a in ctx.elements():
+        calls.clear()
+        check_mod27(ctx, a)
+        assert sorted(calls) == sorted(r for r, _ in x.orbits + y.orbits), a
+
+
+def test_orbit_plan_allocates_nothing_of_field_size():
+    # at n = 21 the field tables are refused, but the orbit plan of Y walks
+    # only its 1330 exponents; power_sum then stops at the table cap
+    ctx = make_field(3, 21)
+    y = build_subset(ctx, "Y")
+    assert sum(d for _, d in y.orbits) == len(y.exponents) == 1330
+    assert [(r, d) for r, d in y.orbits if d < 21] == [(1 + 3 ** 7 + 3 ** 14, 7)]
+    with pytest.raises(FieldError, match="above the cap"):
+        power_sum(ctx, y, ctx.one())
