@@ -22,8 +22,8 @@ class FieldError(ValueError):
     """Invalid field parameters, malformed elements, or bad exponent sets."""
 
 
-# The most entries of per-element state a run may build: the field tables,
-# the Gauss-square support, and the indices of an --all or --sample scope.
+# The most entries of per-element state a run may build: the field tables
+# and the indices of an --all or --sample scope.
 # `verify --check mod27 --all` peaks near 0.75 KB per element at p = 3,
 # n = 11..12, so a sweep at the cap stays under 2 GB; 3^13 is admitted.
 MAX_TABLE_Q = 2 ** 21
@@ -111,15 +111,40 @@ def _rem(dividend: Sequence[int], divisor: Sequence[int], p: int) -> tuple[int, 
     return tuple(v % p for v in rem[:d])
 
 
+def _monic_gcd(f: tuple[int, ...], h: Sequence[int], p: int) -> tuple[int, ...]:
+    """gcd(f, h) over F_p, made monic, for a monic f; h may carry top zeros."""
+    g, h = f, list(h)
+    while any(h):
+        while not h[-1]:
+            h.pop()
+        inv = pow(h[-1], -1, p)
+        g, h = tuple(c * inv % p for c in h), g
+        h = list(_rem(h, g, p))
+    return g
+
+
+def _frobenius_minus_x(f: tuple[int, ...], d: int, p: int) -> list[int]:
+    """x^(p^d) - x mod the monic f of degree n >= 2, as n coefficients."""
+    h = list(_powmod((0, 1) + (0,) * (len(f) - 3), p ** d, f, p))
+    h[1] = (h[1] - 1) % p
+    return h
+
+
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree up to deg/2."""
+    """Rabin's test (SIAM J. Comput. 9, 1980) for the monic modulus of degree n.
+
+    f is irreducible iff it divides x^(p^n) - x, so that each irreducible
+    factor has a degree dividing n, and shares no factor with
+    x^(p^(n/r)) - x for any prime r | n, so that none has a smaller degree.
+    Each condition is one power x^(p^d) mod f, about d * log2(p) squarings.
+    """
     n = len(modulus) - 1
-    for d in range(1, n // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = tail + (1,)
-            if not any(_rem(modulus, divisor, p)):
-                return False
-    return True
+    if n == 1:
+        return True
+    if any(_frobenius_minus_x(modulus, n, p)):
+        return False
+    return all(_monic_gcd(modulus, _frobenius_minus_x(modulus, n // r, p), p) == (1,)
+               for r in distinct_prime_factors(n))
 
 
 def _has_root(f: tuple[int, ...], p: int) -> bool:
@@ -128,16 +153,7 @@ def _has_root(f: tuple[int, ...], p: int) -> bool:
     The roots of f in F_p are those of gcd(f, x^p - x), found from x^p mod f
     at the cost of about log2(p) products, not p evaluations.
     """
-    h = list(_powmod((0, 1) + (0,) * (len(f) - 3), p, f, p))
-    h[1] = (h[1] - 1) % p
-    g = f
-    while any(h):
-        while not h[-1]:
-            h.pop()
-        inv = pow(h[-1], -1, p)
-        g, h = tuple(c * inv % p for c in h), g
-        h = list(_rem(h, g, p))
-    return len(g) > 1
+    return _monic_gcd(f, _frobenius_minus_x(f, 1, p), p) != (1,)
 
 
 def _has_full_order(x: tuple[int, ...], modulus: tuple[int, ...], p: int, q: int,
@@ -367,8 +383,10 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
     on it.  A user-supplied modulus must be monic; the generator is the
     residue class of the indeterminate (for n = 1, the root of the modulus)
     if that has full multiplicative order, which proves the modulus
-    irreducible, else, once trial division has, the first element of full
-    order in enumeration order from index 2.
+    irreducible, else, once Rabin's test has, the first element of full
+    order in enumeration order from index 2.  x is tested first because
+    that one power usually settles both; Rabin's test alone costs a
+    quarter to a half of a whole build from a modulus that x generates.
     """
     # q - 1 >= 2^128, decided without forming a long p^n; n < 1 is sized as 1
     if n * (p.bit_length() - 1) > 128 or p ** max(n, 1) > 2 ** 128:

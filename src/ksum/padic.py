@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Union
 
-from .ff import (FFElem, FieldCtx, _mulmod, _orbit_leaders, _powmod, build_subset,
-                 check_table_cap, power_sum)
+from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
 from .kloos import CongruenceReport, InternalCheckError, kloosterman
 
 
@@ -249,18 +248,18 @@ class UnramCtx:
     def gauss_square_support(self) -> tuple[tuple[int, int], ...]:
         """(j, g(j)^2 mod 27) for every j in 1..q-2 whose computed value is nonzero.
 
-        g(p*j) = g(j), as the Gross-Koblitz arguments of p*j permute those of
-        j, so the value is computed at the least member of each orbit of
-        j -> p*j mod q-1 and given to every member.  Zero terms are dropped on
-        their computed value, never on the weight law, so the Fourier sum over
-        this support is the full sum.
+        For every unit, gauss_sum's normal form puts pi^(wt_3(j)) into g(j),
+        so the square carries pi^(2 wt) = (-3)^wt and is 0 mod 27 once
+        wt >= 3.  The value is computed at every j of weight 1 or 2 and
+        dropped on that computed value, never on the weight law, so the
+        Fourier sum over this support is the full sum.
         """
-        check_table_cap(self.field.q, f"the Gauss-square support of F_{self.p}^{self.n}")
-        js = range(1, self.field.q - 1)
-        value = [0] * (self.field.q - 1)
-        for j, r in zip(js, _orbit_leaders(self.field, js, exponents=True)):
-            value[j] = gauss_square_mod27(self, j).residue if j == r else value[r]
-        return tuple((j, c) for j, c in enumerate(value) if c)
+        n = self.n
+        # weight 1: 3^i; weight 2: 3^i + 3^k with i <= k (2 * 3^i at i = k)
+        js = sorted([3 ** i for i in range(n)]
+                    + [3 ** i + 3 ** k for k in range(n) for i in range(k + 1)])
+        squares = ((j, gauss_square_mod27(self, j).residue) for j in js)
+        return tuple((j, c) for j, c in squares if c)
 
 
 def lift_field(field: FieldCtx, precision: int) -> UnramCtx:

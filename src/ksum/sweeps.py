@@ -36,7 +36,7 @@ import random
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 from typing import Callable, Optional, Sequence, TextIO
@@ -271,7 +271,8 @@ def run_verification(job: VerificationJob) -> SweepReport:
             results = (map(evaluate, evaluated) if pool is None else
                        pool.imap(evaluate, evaluated, math.ceil(len(evaluated) / workers)))
             by_rep = dict(zip(evaluated, results))
-        cases = [r if i == rep else replace(r, witness=member(i))
+        cases = [r if i == rep else
+                 CongruenceReport(r.subject, r.lhs, r.rhs, r.modulus, r.passed, member(i))
                  for i, rep in zip(indices, reps) for r in by_rep[rep]]
         histogram = dict(sorted(Counter(r.lhs for r in cases).items())) if cd.histogram else None
     return SweepReport(echo, len(indices), cases, [r for r in cases if not r.passed],

@@ -292,7 +292,7 @@ def test_table_free_commands_run_above_q_cap(argv, capsys):
     (["kloosterman", "--field", _BIG, "--a", _BIG_A],
      "the field tables of F_3^30 would hold 205891132094649 entries"),
     (["verify", "--field", _BIG, "--check", "fourier", "--a", _BIG_A],
-     "the Gauss-square support of F_3^30 would hold 205891132094649 entries"),
+     "the field tables of F_3^30 would hold 205891132094649 entries"),
     (["verify", "--field", "p=1000003,n=2", "--check", "stickelberger", "--all"],
      "an --all scope of F_1000003^2 would hold 1000006000009 entries"),
     (["spectrum", "--field", "p=3,n=14"],

@@ -95,6 +95,16 @@ def poly_sub(a, b, p):
     return poly_trim([(x - y) % p for x, y in zip(a, b)])
 
 
+def trial_division_irreducible(mod, p):
+    """Trial division by every monic polynomial of degree up to deg/2."""
+    n = len(mod) - 1
+    for d in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not poly_rem(mod, tail + (1,), p):
+                return False
+    return True
+
+
 def is_prime_naive(m):
     return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
 
@@ -250,6 +260,45 @@ def test_has_root_at_large_p():
     p = 1000003
     assert ksum.ff._has_root((35, p - 12, 1), p)
     assert legendre(2, p) == -1 and not ksum.ff._has_root((p - 2, 0, 1), p)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1), (5, 2),
+                                 (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 1), (11, 2)])
+def test_rabin_test_matches_both_oracles(p, n):
+    for tail in itertools.product(range(p), repeat=n):
+        mod = tail + (1,)
+        expect = trial_division_irreducible(mod, p)
+        assert oracle_irreducible(list(mod), p) == expect, mod
+        assert ksum.ff._is_irreducible(mod, p) == expect, mod
+
+
+# g^2 for the default modulus g of F_3^20: x is not primitive modulo it, so
+# make_field runs the irreducibility test, where 3^20 trial divisions would hang
+_SQUARE_OF_DEFAULT_20 = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0,
+                         0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 2, 0, 0, 1, 2, 1)
+# irreducible of degree 22, but x is not primitive modulo it
+_NONPRIMITIVE_22 = (1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 2, 1, 1, 1, 2, 1, 2, 1, 2, 1, 1, 1, 1)
+
+
+def test_square_modulus_is_refused_by_rabin_test():
+    g = make_field(3, 20).modulus
+    assert tuple(poly_mulmod_plain(g, g, 3)) == _SQUARE_OF_DEFAULT_20
+    with pytest.raises(FieldError, match="is reducible over F_3"):
+        make_field(3, 40, _SQUARE_OF_DEFAULT_20)
+
+
+def test_irreducible_nonprimitive_modulus_at_n22():
+    ctx = make_field(3, 22, _NONPRIMITIVE_22)
+    assert ctx.generator.coeffs != (0, 1) + (0,) * 20
+    mod, g, m = list(_NONPRIMITIVE_22), list(ctx.generator.coeffs), 3 ** 22 - 1
+    primes = [r for r in range(2, 200000) if m % r == 0 and is_prime_naive(r)]
+    cofactor = m
+    for r in primes:
+        while cofactor % r == 0:
+            cofactor //= r
+    assert cofactor == 1
+    assert poly_powmod(g, m, mod, 3) == [1]
+    assert all(poly_powmod(g, m // r, mod, 3) != [1] for r in primes)
 
 
 def test_default_search_tests_every_rootless_candidate(monkeypatch):
@@ -415,7 +464,7 @@ def parent_make_field(p, n, modulus=None):
             f"modulus needs {n + 1} coefficients for degree {n}, got {len(mod)}")
     if mod[-1] != 1:
         raise FieldError("modulus must be monic")
-    if not ksum.ff._is_irreducible(mod, p):
+    if not trial_division_irreducible(mod, p):
         raise FieldError(f"modulus {mod} is reducible over F_{p}")
     x = ((-mod[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
     elements = (tail[::-1] for tail in itertools.product(range(p), repeat=n))

@@ -321,17 +321,47 @@ def test_gauss_square_values_q27(f27):
         assert gauss_square_mod27(uctx, j).residue == expected, j
 
 
-@pytest.mark.parametrize("n", range(3, 8))
-def test_gauss_square_support_matches_every_j_loop(n):
-    # the support computes one value per orbit of j -> 3j; the oracle is the
-    # loop it replaced, one gauss_square_mod27 call at every j
-    uctx = lift_field(make_field(3, n), 3)
+@pytest.mark.parametrize("n,modulus", [pytest.param(n, None, id=str(n)) for n in range(3, 9)]
+                         + [pytest.param(4, (1, 1, 1, 1, 1), id="4-mod=1,1,1,1,1")])
+def test_gauss_square_support_matches_every_j_loop(n, modulus):
+    # the support computes only the weight-1 and weight-2 indices; the oracle
+    # is one gauss_square_mod27 call at every j
+    uctx = lift_field(make_field(3, n, modulus), 3)
     oracle = []
     for j in range(1, uctx.field.q - 1):
         c = gauss_square_mod27(uctx, j).residue
         if c:
             oracle.append((j, c))
     assert uctx.gauss_square_support == tuple(oracle)
+
+
+def _digits_of_weight(rng, n, wt):
+    digits = [0] * n
+    while sum(digits) < wt:
+        i = rng.randrange(n)
+        if digits[i] < 2:
+            digits[i] += 1
+    return sum(d * 3 ** i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("n", range(9, 14))
+def test_gauss_square_vanishes_at_weight_three_and_four(n):
+    # the support leaves out every j of weight >= 3; sample some and compute
+    uctx = lift_field(make_field(3, n), 3)
+    rng = random.Random(n)
+    for wt in (3, 4):
+        for _ in range(5):
+            j = _digits_of_weight(rng, n, wt)
+            assert p_weight(j, 3) == wt
+            assert gauss_square_mod27(uctx, j).residue == 0, j
+
+
+def test_gauss_square_support_builds_no_field_table():
+    ctx = make_field(3, 20)
+    support = lift_field(ctx, 3).gauss_square_support
+    assert len(support) == 230 == 20 * 23 // 2
+    assert {c for _, c in support} == {6, 9}
+    assert "tables" not in ctx.__dict__
 
 
 def test_stickelberger_exhaustive():
