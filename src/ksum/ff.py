@@ -329,19 +329,13 @@ class FieldCtx:
 
     @cached_property
     def _trace_basis(self) -> tuple[int, ...]:
-        # trace of each basis monomial, via explicit Frobenius power sums
-        out = []
-        for i in range(self.n):
-            mono = tuple(1 if j == i else 0 for j in range(self.n))
-            acc = [0] * self.n
-            t = mono
-            for _ in range(self.n):
-                acc = [(u + v) % self.p for u, v in zip(acc, t)]
-                t = _powmod(t, self.p, self.modulus, self.p)
-            if any(acc[1:]):
-                raise FieldError("trace of a basis monomial left the prime field")
-            out.append(acc[0])
-        return tuple(out)
+        # Tr(x^k) is the k-th power sum s_k of the modulus's roots; Newton's
+        # identities give it with no division, so they hold at every p
+        p, n, c = self.p, self.n, self.modulus
+        s = [n % p]
+        for k in range(1, n):
+            s.append((-k * c[n - k] - sum(c[n - i] * s[k - i] for i in range(1, k))) % p)
+        return tuple(s)
 
     @cached_property
     def tables(self) -> FieldTables:
@@ -436,38 +430,34 @@ def _orbit_leaders(ctx: FieldCtx | ExponentSet, indices: Sequence[int],
                    exponents: bool = False, squares: bool = False) -> list[int]:
     """The least index of each index's orbit, in index order.
 
-    Elements move by Frobenius a -> a^p, that is log a -> p * log a mod q-1
-    with 0 fixed; Gauss indices (`exponents`) move by j -> p * j mod q-1.
-    With `squares`, elements also move by a -> s*a, s = g^d with
-    d = 2(q-1)/(p-1), which runs over the squares of F_p^*: log a -> log a + d.
-    The two steps commute, but need not generate their group together, so
-    each Frobenius step labels the whole coset log a + dZ it lands in; at
-    p = 3, s = 1 and the orbits are Frobenius orbits.  `indices` is a whole
-    domain in increasing order, so the first index met in an orbit is its
-    least, and walking the Frobenius cycle from it labels every member: once
-    it meets a labelled coset, every later coset of the cycle is labelled.
+    Every orbit is one cycle of k -> p*k mod d on an integer key: a Gauss
+    index j (`exponents`) is its own key, with d = q-1; an element a != 0
+    has key log a mod d, with d = 2(q-1)/(p-1) under `squares` (a -> c^2 a
+    adds multiples of d to log a) and d = q-1 otherwise; zero is its own
+    orbit.  `indices` is a whole domain in increasing order, so the first
+    index met in an orbit is its least, and it labels its key's cycle.
     An exponent walk reads only p and q, so an ExponentSet may stand for its
     field; a domain under half the field is labelled in a dict, so the walk
     over a small exponent set allocates nothing of the field's size.
     """
-    p, m, d = ctx.p, ctx.q - 1, 0
+    p, m = ctx.p, ctx.q - 1
     if exponents:
-        step = lambda j: p * j % m
+        d = m
+        least = dict.fromkeys(indices) if 2 * len(indices) < ctx.q else [None] * d
     else:
-        t = ctx.tables
-        step = lambda i: t.exp[p * t.log[i] % m] if i else 0
-        d = 2 * m // (p - 1) if squares and p > 3 else 0
-    least = dict.fromkeys(indices) if 2 * len(indices) < ctx.q else [None] * ctx.q
+        log, d = ctx.tables.log, 2 * m // (p - 1) if squares else m
+        least = [None] * d
+    leaders = []
     for i in indices:
-        k = i
+        if not (exponents or i):
+            leaders.append(0)
+            continue
+        k = key = i if exponents else log[i] % d
         while least[k] is None:
-            if d and k:
-                for s in range(t.log[k] % d, m, d):
-                    least[t.exp[s]] = i
-            else:
-                least[k] = i
-            k = step(k)
-    return [least[i] for i in indices]
+            least[k] = i
+            k = p * k % d
+        leaders.append(least[key])
+    return leaders
 
 
 @lru_cache(maxsize=None)

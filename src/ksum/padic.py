@@ -489,6 +489,11 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
         raise ValueError("mod-27 Fourier check requires n >= 3")
     if uctx.precision < 3:
         raise ValueError("mod-27 Fourier check requires >= 3 digits")
+    # the counting side reads the field tables first, so a field above the
+    # table cap is refused before any Gauss square or lift is computed
+    rhs = kloosterman(field, a).as_int()
+    if rhs is None:
+        raise InternalCheckError("ternary Kloosterman sum is not rational")
     acc = _power_combination(uctx, uctx.gauss_square_support, a)
     closed = _power_combination(
         uctx, [(s, 21) for s in build_subset(field, "W").exponents]
@@ -497,9 +502,6 @@ def check_fourier_mod27(uctx: UnramCtx, a: FFElem) -> CongruenceReport:
     if any(coords27[1:]):
         raise InternalCheckError("Fourier sum is not rational mod 27")
     lhs = coords27[0]
-    rhs = kloosterman(field, a).as_int()
-    if rhs is None:
-        raise InternalCheckError("ternary Kloosterman sum is not rational")
     rhs %= 27
     closed27 = tuple(c % 27 for c in closed.coords)
     passed = lhs == rhs and closed27 == coords27

@@ -307,6 +307,18 @@ def test_q_cap_exit_two(argv, refused, capsys):
     assert captured.err == f"error: {refused}, above the cap of 2^21\n"
 
 
+def test_fourier_refuses_q_cap_before_gauss_work(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("Gauss or lift work before the q cap")
+    monkeypatch.setattr(ksum.padic, "gauss_square_mod27", refuse)
+    monkeypatch.setattr(ksum.padic, "teichmuller", refuse)
+    assert main(["verify", "--field", _BIG, "--check", "fourier", "--a", _BIG_A]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the field tables of F_3^30 would hold "
+                            "205891132094649 entries, above the cap of 2^21\n")
+
+
 def test_gamma_cap_comes_before_primality(capsys):
     # trial division of this p would run for minutes
     assert main(["gamma", "--p", "1000000000000000003", "--precision", "1",

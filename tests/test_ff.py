@@ -662,7 +662,8 @@ def oracle_least(step, i):
 @pytest.mark.parametrize("p,n,modulus", [(3, n, None) for n in range(1, 7)]
                          + [(5, n, None) for n in range(1, 4)]
                          + [(7, 2, None), (11, 2, None),
-                            (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1))])
+                            (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1)),
+                            (3, 7, None), (7, 3, None)])
 def test_orbit_leaders_match_frobenius_oracle(p, n, modulus):
     # elements move by the polynomial Frobenius, which reads no table; the
     # first user modulus has a generator other than x
@@ -697,10 +698,20 @@ def oracle_joint_leaders(ctx):
 @pytest.mark.parametrize("p,n,modulus", [(5, n, None) for n in range(1, 5)]
                          + [(7, n, None) for n in range(1, 4)]
                          + [(11, 2, None), (13, 1, None), (13, 2, None),
-                            (5, 2, (2, 1, 1)), (7, 2, (3, 1, 1))])
+                            (5, 2, (2, 1, 1)), (7, 2, (3, 1, 1)),
+                            (5, 5, None), (13, 3, None), (17, 2, None), (19, 2, None)])
 def test_orbit_leaders_match_joint_oracle(p, n, modulus):
     # the oracle reads no exp or log table
     ctx = make_field(p, n, modulus)
+    elements = range(ctx.q)
+    assert ksum.ff._orbit_leaders(ctx, elements, squares=True) == oracle_joint_leaders(ctx)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 2), (13, 2)])
+def test_orbit_walk_reads_no_exp_table(p, n, monkeypatch):
+    # the walk labels keys derived from log alone
+    ctx = make_field(p, n)
+    monkeypatch.setattr(ctx, "tables", ctx.tables._replace(exp=None))
     elements = range(ctx.q)
     assert ksum.ff._orbit_leaders(ctx, elements, squares=True) == oracle_joint_leaders(ctx)
 
@@ -741,6 +752,33 @@ def test_trace_matches_oracle_exhaustive(f27, f25):
     for ctx in (f27, f25):
         for a in ctx.elements():
             assert ctx.trace(a) == oracle_trace(ctx, a)
+
+
+def frobenius_trace_basis(ctx):
+    """Trace of each basis monomial, as the sum of its n Frobenius powers."""
+    out = []
+    for i in range(ctx.n):
+        acc = [0] * ctx.n
+        t = tuple(1 if j == i else 0 for j in range(ctx.n))
+        for _ in range(ctx.n):
+            acc = [(u + v) % ctx.p for u, v in zip(acc, t)]
+            t = ksum.ff._powmod(t, ctx.p, ctx.modulus, ctx.p)
+        assert not any(acc[1:]), "trace of a basis monomial left the prime field"
+        out.append(acc[0])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,n,modulus", [(3, n, None) for n in range(1, 13)]
+                         + [(5, n, None) for n in range(1, 7)]
+                         + [(7, n, None) for n in range(1, 5)]
+                         + [(11, n, None) for n in range(1, 4)]
+                         + [(13, n, None) for n in range(1, 4)]
+                         + [(3, 21, None), (3, 30, None), (3, 4, (1, 1, 1, 1, 1)),
+                            (3, 3, (1, 0, 2, 1)), (5, 2, (2, 1, 1))])
+def test_trace_basis_matches_frobenius_sums(p, n, modulus):
+    # Newton's identities on the modulus against the sum of Frobenius powers
+    ctx = make_field(p, n, modulus)
+    assert ctx._trace_basis == frobenius_trace_basis(ctx)
 
 
 def test_trace_hits_every_value_equally(f27):

@@ -197,7 +197,8 @@ def oracle_spectrum(ctx):
 @pytest.mark.parametrize("p,n,modulus", [(3, n, None) for n in range(1, 7)]
                          + [(5, n, None) for n in range(1, 4)]
                          + [(7, 2, None), (11, 2, None),
-                            (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1))])
+                            (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1)),
+                            (5, 4, None), (7, 3, None), (13, 2, None), (5, 2, (2, 1, 1))])
 def test_spectrum_matches_per_index_aggregation(p, n, modulus):
     # spectrum reads one row per Frobenius orbit; the oracle reads every index
     rep = run_verification(VerificationJob(p, n, "spectrum", modulus=modulus, jobs=1))
