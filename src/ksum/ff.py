@@ -22,6 +22,10 @@ class FieldError(ValueError):
     """Invalid field parameters, malformed elements, or bad exponent sets."""
 
 
+class InternalCheckError(RuntimeError):
+    """A structural guarantee failed; indicates a defect, not bad input."""
+
+
 # The most entries of per-element state a run may build: the field tables
 # and the indices of an --all or --sample scope.
 # `verify --check mod27 --all` peaks near 0.75 KB per element at p = 3,
@@ -530,5 +534,5 @@ def power_sum(ctx: FieldCtx, subset: ExponentSet, a: FFElem) -> int:
                 e = ctx.pow(a, r * p ** i % m)
                 direct = [(u + v) % p for u, v in zip(direct, e.coeffs)]
     if any(direct[1:]):
-        raise FieldError("power sum left the prime field")
+        raise InternalCheckError("power sum left the prime field")
     return (value + direct[0]) % p

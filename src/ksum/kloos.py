@@ -20,11 +20,7 @@ from functools import lru_cache, reduce
 from typing import Optional
 
 from .cyclo import CycInt, IntPolynomial, NonRationalCoefficient, product_linear
-from .ff import FFElem, FieldCtx, build_subset, legendre, power_sum
-
-
-class InternalCheckError(RuntimeError):
-    """A structural guarantee failed; indicates a defect, not bad input."""
+from .ff import FFElem, FieldCtx, InternalCheckError, build_subset, legendre, power_sum
 
 
 @dataclass(frozen=True)

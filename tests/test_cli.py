@@ -11,11 +11,14 @@ import pytest
 
 import ksum
 import ksum.cli
+import ksum.ff
 import ksum.kloos
 import ksum.padic
 import ksum.sweeps
 from ksum.cli import FieldSpecError, main, parse_field_spec
+from ksum.ff import FFElem, FieldCtx
 from ksum.kloos import CongruenceReport, InternalCheckError
+from ksum.padic import PadicInt
 
 
 # ---------------------------------------------------------- field specs
@@ -128,6 +131,93 @@ def test_non_rational_min_poly_exit_three(check, monkeypatch, capsys):
     assert captured.err == (
         "internal error: coefficient at index 0 is not a rational integer: "
         f"-3 + 4*z + 6*z^2 + 3*z^3 (check {check}, --a 2,1)\n")
+
+
+@pytest.fixture
+def cold_rows():
+    """Counting rows come from the field, not from an earlier test's cache."""
+    ksum.kloos._counts_by_index.cache_clear()
+    yield
+    ksum.kloos._counts_by_index.cache_clear()
+
+
+@pytest.mark.parametrize("field,scope,k,value,message", [
+    # Tr(1) = 7 puts the sum at x = 1 above every trace value that is counted
+    ("p=3,n=3", ["--a", "1,1,0"], 0, 7,
+     "trace counts do not cover the field (check mod9, --a 1,1,0)"),
+    # x = 1 takes the dual coordinates of another element
+    ("p=3,n=3", ["--all"], 0, 1, "dual coordinates do not cover the field"),
+    # a top coordinate of -1 indexes y - q, the same slot as y, so the dual
+    # coordinates still cover the field, but Tr(1/1) = -1 is no trace value
+    ("p=3,n=2", ["--all"], 8, -1, "trace counts do not cover the field"),
+], ids=["count-row", "count-table-dual", "count-table-sum"])
+def test_corrupt_trace_table_exit_three(monkeypatch, capsys, cold_rows,
+                                        field, scope, k, value, message):
+    real = FieldCtx.tables.func
+
+    def tables(ctx):
+        t = real(ctx)
+        row = list(t.trace_by_log2)
+        row[k] = value
+        return t._replace(trace_by_log2=row)
+
+    monkeypatch.setattr(FieldCtx, "tables", property(tables))
+    rc = main(["verify", "--field", field, "--check", "mod9", *scope, "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
+
+
+@pytest.mark.parametrize("check,message", [
+    ("mod9", "ternary Kloosterman sum is not rational"),
+    ("fourier", "ternary Kloosterman sum is not rational"),
+    ("thm1", "conjugate product is not a rational integer"),
+])
+def test_non_rational_ternary_row_exit_three(monkeypatch, capsys, check, message):
+    monkeypatch.setattr(ksum.kloos, "_counts_by_index", lambda ctx, k: (ctx.q - 2, 2, 0))
+    rc = main(["verify", "--field", "p=3,n=3", "--check", check, "--a", "1,1,0",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message} (check {check}, --a 1,1,0)\n"
+
+
+def test_bogus_gauss_square_exit_three(monkeypatch, capsys):
+    # g(1)^2 = 6 mod 27; a 7 adds teich(a) itself, which is not rational
+    real = ksum.padic.gauss_square_mod27
+    monkeypatch.setattr(ksum.padic, "gauss_square_mod27",
+                        lambda uctx, j: PadicInt(3, 3, 7) if j == 1 else real(uctx, j))
+    rc = main(["verify", "--field", "p=3,n=3", "--check", "fourier", "--a", "1,1,0",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: Fourier sum is not rational mod 27 "
+                            "(check fourier, --a 1,1,0)\n")
+
+
+def test_power_sum_outside_prime_field_exit_three(monkeypatch, capsys):
+    # the Y orbit {91, 273} at n = 6 is summed power by power; shifting the
+    # x coefficient of every odd power leaves that sum outside F_3
+    real = FieldCtx.pow
+
+    def shifted(ctx, x, e):
+        y = real(ctx, x, e)
+        if e % 2:
+            y = FFElem((y.coeffs[0], (y.coeffs[1] + 1) % ctx.p) + y.coeffs[2:])
+        return y
+
+    monkeypatch.setattr(FieldCtx, "pow", shifted)
+    rc = main(["verify", "--field", "p=3,n=6", "--check", "mod27", "--a", "1,1,0,0,0,0",
+               "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: power sum left the prime field "
+                            "(check mod27, --a 1,1,0,0,0,0)\n")
+    assert ksum.InternalCheckError is ksum.ff.InternalCheckError is InternalCheckError
 
 
 def test_usage_errors_exit_two(capsys):

@@ -4,11 +4,13 @@ gamma_p is pinned to a recurrence oracle: Gamma(0) = 1 and
 Gamma(k+1) = -k * Gamma(k) when p does not divide k, else -Gamma(k).
 The closed product the implementation uses must walk the same ladder.
 Teichmuller lifts are pinned by their defining properties, which determine
-them uniquely: reduction, (q-1)-th root of unity, multiplicativity.
+them uniquely: reduction, (q-1)-th root of unity, multiplicativity; and by
+the K-step Frobenius loop, as an oracle.
 """
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,54 @@ def test_teichmuller_properties_exhaustive_q27(f27):
     for a in f27.elements():
         for b in f27.elements():
             assert lifts[f27.mul(a, b)] == lifts[a] * lifts[b]
+
+
+def oracle_teichmuller(uctx, a):
+    """K Frobenius steps y -> y^q from the naive lift, each gaining at least
+    one digit: the lift `teichmuller` computed before it took one power."""
+    if a.is_zero():
+        return uctx.zero()
+    y = uctx.element(a.coeffs)
+    for _ in range(uctx.precision):
+        y = y ** uctx.field.q
+    return y
+
+
+@pytest.mark.parametrize("p,n,modulus,precisions", [
+    pytest.param(p, n, None, None, id=f"{p}-{n}")
+    for p, n in [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+                 (5, 2), (5, 3), (7, 2), (11, 2)]
+] + [
+    pytest.param(3, 4, (1, 1, 1, 1, 1), None, id="3-4-mod=1,1,1,1,1"),
+    pytest.param(3, 3, None, (40,), id="3-3-K40"),
+])
+def test_teichmuller_matches_frobenius_loop(p, n, modulus, precisions):
+    # K = n + 2 and 2n + 2 need k = 2 and 3 powers of q; K = 2 and n + 2 sit
+    # one past a multiple of n, where ceil((K-2)/n) falls one short
+    ctx = make_field(p, n, modulus)
+    for precision in precisions or sorted({1, 2, n, n + 1, n + 2, 2 * n + 2}):
+        uctx = lift_field(ctx, precision)
+        for a in ctx.elements():
+            assert teichmuller(uctx, a) == oracle_teichmuller(uctx, a), (precision, a)
+
+
+@pytest.mark.parametrize("precision,k", [(1, 0), (2, 1), (4, 1), (5, 2), (8, 3), (40, 13)])
+def test_teichmuller_takes_one_power(monkeypatch, f27, precision, k):
+    """One _powmod per nonzero lift, with exponent q^ceil((K-1)/n); none at 0."""
+    exponents = []
+
+    def counted(a, e, modulus, pk, _real=ksum.padic._powmod):
+        exponents.append(e)
+        return _real(a, e, modulus, pk)
+
+    monkeypatch.setattr(ksum.padic, "_powmod", counted)
+    uctx = lift_field(f27, precision)
+    assert teichmuller(uctx, f27.zero()) == uctx.zero()
+    assert exponents == []
+    for a in islice(f27.elements(), 1, None):
+        exponents.clear()
+        teichmuller(uctx, a)
+        assert exponents == [27 ** k], a
 
 
 def test_teichmuller_constants():
