@@ -4,8 +4,13 @@ Elements are length-n tuples of residues mod p, constant coefficient first,
 in the polynomial basis of the modulus.  A context fixes both the modulus
 and a generator of the multiplicative group; its discrete-log and trace
 tables are built lazily, in one walk over the generator's powers, so the
-exhaustive sweeps stay cheap.  A context's arithmetic never changes, but
-it is not frozen: a whole-field sweep attaches `count_rows` to it.
+exhaustive sweeps stay cheap.  The walk holds g^k as one integer, the
+base-(2p-1) code of its coefficients, and splits it into two half-words:
+small tables over each half give g times that half, its index and its
+trace, and the two products add digit by digit with no carry, since each
+digit of each is below p.  `element_at` likewise joins two tables of
+half-length digit tuples.  A context's arithmetic never changes, but it
+is not frozen: a whole-field sweep attaches `count_rows` to it.
 """
 
 from __future__ import annotations
@@ -276,11 +281,20 @@ class FieldCtx:
     def element_at(self, k: int) -> FFElem:
         if not 0 <= k < self.q:
             raise FieldError(f"element index {k} out of range [0, {self.q})")
-        digits = []
-        for _ in range(self.n):
-            k, r = divmod(k, self.p)
-            digits.append(r)
-        return FFElem(tuple(digits))
+        P, lo, hi = self._digit_tables
+        return FFElem(lo[k % P] + hi[k // P])
+
+    @cached_property
+    def _digit_tables(self) -> tuple[int, tuple, tuple]:
+        """(P, lo, hi), P = p^(n//2): the digits of element k are lo[k % P] + hi[k // P].
+
+        The tables hold about 2 * sqrt(q) tuples, but are refused above the
+        cap of the field tables, which every caller of element_at reads too.
+        """
+        p, n = self.p, self.n
+        check_table_cap(self.q, f"the field tables of F_{p}^{n}")
+        lo, hi = (tuple(t[::-1] for t in product(range(p), repeat=r)) for r in (n // 2, n - n // 2))
+        return p ** (n // 2), lo, hi
 
     def index(self, x: FFElem) -> int:
         k = 0
@@ -345,28 +359,57 @@ class FieldCtx:
     def tables(self) -> FieldTables:
         """exp, log and the trace row from one walk over the powers g^k.
 
-        A step that lands on zero or on an index already logged means the
-        generator's order is below q-1, and the walk stops there.
+        g^k is held as V = sum c_i * m^i with m = 2p-1, split at h = n//2
+        digits into a low and a high half-word.  Each half-word table maps
+        a half's code to g times that half (a code with digits below p),
+        to the half's share of the element index, and to its trace; a
+        digit-reduction map spreads the p^h and p^(n-h) reduced words over
+        every base-m half-word.  A step adds the two halves' entries: the
+        digits of g^(k+1)'s code are then at most 2p-2 < m, so no digit
+        carries into the next, whatever the generator.  At n = 1 the low
+        half is empty and g^k's code stays reduced, so the tables stay at
+        p entries.  A step that lands on zero or on an index already logged
+        means the generator's order is below q-1, and the walk stops there.
         """
-        q, p = self.q, self.p
-        check_table_cap(q, f"the field tables of F_{p}^{self.n}")
+        q, p, n = self.q, self.p, self.n
+        check_table_cap(q, f"the field tables of F_{p}^{n}")
         gen, mod, basis = self.generator.coeffs, self.modulus, self._trace_basis
+        m, h = 2 * p - 1, n // 2
+        P, lo, hi = self._digit_tables
+        halves = []
+        for scale, size, words in ((1, h, [w + hi[0] for w in lo]),
+                                   (P, n - h, [lo[0] + w for w in hi])):
+            g_row, idx_row, tr_row = [], [], []
+            for w, coeffs in enumerate(words):
+                code = 0
+                for c in reversed(_mulmod(gen, coeffs, mod, p)):
+                    code = code * m + c
+                g_row.append(code)
+                idx_row.append(w * scale)
+                tr_row.append(sum(map(operator.mul, coeffs, basis)) % p)
+            if h:
+                # the reduced word of each base-m code, enumerated by code
+                red = [0]
+                for i in range(size):
+                    red = [r + d % p * p ** i for d in range(m) for r in red]
+                g_row, idx_row, tr_row = ([row[r] for r in red]
+                                          for row in (g_row, idx_row, tr_row))
+            halves.append((g_row, idx_row, tr_row))
+        (GL, IL, TL), (GH, IH, TH) = halves
+        M = m ** h
         exp = [0] * (q - 1)
         log: list[Optional[int]] = [None] * q
         by_log = [0] * (q - 1)
-        cur = self.one().coeffs
+        V = 1
         for k in range(q - 1):
-            idx = 0
-            for c in reversed(cur):
-                idx = idx * p + c
+            hi, lo = divmod(V, M)
+            idx = IL[lo] + IH[hi]
             if idx == 0 or log[idx] is not None:
                 raise FieldError("generator does not have order q-1")
             exp[k] = idx
             log[idx] = k
-            by_log[k] = sum(map(operator.mul, cur, basis)) % p
-            # _mulmod skips zero coefficients of its first operand: a sparse
-            # generator such as x drives the outer loop
-            cur = _mulmod(gen, cur, mod, p)
+            by_log[k] = (TL[lo] + TH[hi]) % p
+            V = GL[lo] + GH[hi]
         return FieldTables(exp, log, by_log + by_log)
 
 

@@ -108,6 +108,8 @@ def _count_table(ctx: FieldCtx) -> list[tuple[int, ...]]:
     for i in reversed(range(n)):       # w^i has element index p^i
         start = t.log[p ** i]
         y = [v * p + c for v, c in zip(y, t.trace_by_log2[start:start + q - 1])]
+    if not 0 <= min(y) <= max(y) < q:  # a negative v would alias slot v + q
+        raise InternalCheckError("dual coordinates do not cover the field")
     h: list[Optional[int]] = [None] * q
     h[0] = 0                           # x = 0 has y = 0 and Tr(1/0) = 0
     for v, s in zip(y, t.trace_by_log2[q - 1:0:-1]):   # Tr(g^-k), by k

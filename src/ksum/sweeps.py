@@ -8,8 +8,8 @@ byte-identical regardless of worker count, and a defect names the least
 failing representative at every worker count.  Wall time is tracked on
 the report but never written to the output stream for the same reason.
 
-An `--all` sweep of elements or of the whole field, at n >= 2, first
-attaches every counting row to the field context, from one transform in
+An `--all` sweep of a check that reads counting rows (`rows`), at n >= 2,
+first attaches every row to the field context, from one transform in
 this process (`kloos._count_table`); workers receive the rows with the
 pickled context.  `spectrum` reads one row per orbit, so it starts no pool.
 
@@ -87,6 +87,8 @@ class CheckDef:
     c^2 a: at p >= 5 these are `thm1`, `moisio` and `wan`, which read only
     the conjugate family, its product, and Tr(a) through its Legendre
     symbol or whether it is zero; the others require p = 3, where c^2 = 1.
+    `rows` marks a check that reads Kloosterman counting rows, so that an
+    --all sweep of it first builds every row in one transform.
     """
 
     domain: str                      # element | exponent | aggregate
@@ -96,6 +98,7 @@ class CheckDef:
     precision: Optional[tuple[int, int]] = None
     histogram: bool = False          # tally lhs values (residue checks)
     orbit: bool = False              # --all evaluates orbit representatives
+    rows: bool = True                # reads kloos counting rows
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -113,7 +116,7 @@ CHECKS: dict[str, CheckDef] = {
         p=3, min_n=3, precision=(3, 3), orbit=True),
     "identities": CheckDef(
         "element", lambda c, u, i: list(padic.identity_reports(u, c.element_at(i))),
-        p=3, min_n=3, precision=(3, 1)),
+        p=3, min_n=3, precision=(3, 1), rows=False),
     "moisio": CheckDef(
         "element", lambda c, u, i: [kloos.check_min_poly_reduction(c, c.element_at(i))],
         orbit=True),
@@ -125,10 +128,10 @@ CHECKS: dict[str, CheckDef] = {
         p=3, orbit=True),
     "stickelberger": CheckDef(
         "exponent", lambda c, u, i: [padic.check_stickelberger(u, i)],
-        precision=(2, 1), orbit=True),
+        precision=(2, 1), orbit=True, rows=False),
     "wt1": CheckDef(
         "exponent", lambda c, u, i: [padic.check_gauss_square_mod27(u, i)],
-        p=3, min_n=3, precision=(3, 3), orbit=True),
+        p=3, min_n=3, precision=(3, 3), orbit=True, rows=False),
     "spectrum": CheckDef("aggregate", None),
 }
 
@@ -246,7 +249,7 @@ def run_verification(job: VerificationJob) -> SweepReport:
     if workers < 1:
         raise JobError(f"worker count must be positive, got {job.jobs}")
     whole = scope_echo["kind"] == "all"
-    if whole and cd.domain != "exponent" and ctx.n > 1:
+    if whole and cd.rows and ctx.n > 1:
         # at n = 1 the transform's p^3 one-entry slab sums cost more than counting
         ctx.count_rows = kloos._count_table(ctx)
     echo = {

@@ -147,9 +147,9 @@ def cold_rows():
      "trace counts do not cover the field (check mod9, --a 1,1,0)"),
     # x = 1 takes the dual coordinates of another element
     ("p=3,n=3", ["--all"], 0, 1, "dual coordinates do not cover the field"),
-    # a top coordinate of -1 indexes y - q, the same slot as y, so the dual
-    # coordinates still cover the field, but Tr(1/1) = -1 is no trace value
-    ("p=3,n=2", ["--all"], 8, -1, "trace counts do not cover the field"),
+    # a top coordinate of -1 puts y - q among the dual coordinates, outside
+    # the field's indices (as a list index it would alias y's own slot)
+    ("p=3,n=2", ["--all"], 8, -1, "dual coordinates do not cover the field"),
 ], ids=["count-row", "count-table-dual", "count-table-sum"])
 def test_corrupt_trace_table_exit_three(monkeypatch, capsys, cold_rows,
                                         field, scope, k, value, message):
@@ -494,6 +494,17 @@ def test_identities_lift_each_element_once(monkeypatch, capsys):
     assert main(["verify", "--field", "p=3,n=3", "--check", "identities", "--all",
                  "--jobs", "1"]) == 0
     assert len(calls) == 27 + 1
+    capsys.readouterr()
+
+
+def test_identities_sweep_builds_no_counting_table(monkeypatch, capsys):
+    # identity_reports reads no Kloosterman counting row
+    def refuse(ctx):
+        raise AssertionError("the counting table was built")
+
+    monkeypatch.setattr(ksum.kloos, "_count_table", refuse)
+    assert main(["verify", "--field", "p=3,n=4", "--check", "identities", "--all",
+                 "--jobs", "1"]) == 0
     capsys.readouterr()
 
 

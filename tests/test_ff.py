@@ -626,6 +626,67 @@ def test_tables_match_oracle(p, n, modulus):
     assert t.trace_by_log2 == row + row
 
 
+def oracle_tables(ctx):
+    """The field tables from one walk that multiplies coefficient tuples by g."""
+    q, p = ctx.q, ctx.p
+    gen, mod, basis = ctx.generator.coeffs, ctx.modulus, ctx._trace_basis
+    exp = [0] * (q - 1)
+    log = [None] * q
+    by_log = [0] * (q - 1)
+    cur = ctx.one().coeffs
+    for k in range(q - 1):
+        idx = sum(c * p ** i for i, c in enumerate(cur))
+        if idx == 0 or log[idx] is not None:
+            raise FieldError("generator does not have order q-1")
+        exp[k] = idx
+        log[idx] = k
+        by_log[k] = sum(c * t for c, t in zip(cur, basis)) % p
+        cur = ksum.ff._mulmod(gen, cur, mod, p)
+    return ksum.ff.FieldTables(exp, log, by_log + by_log)
+
+
+# generators other than x: x + 2, x + 1, x + 2, 2x + 1, x^3 + 2x + 1
+NOT_X = [(3, 4, (1, 1, 1, 1, 1)), (3, 6, (1, 0, 0, 0, 1, 1, 1)), (5, 2, (1, 1, 1)),
+         (7, 2, (1, 3, 1)), (3, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1))]
+WALK_FIELDS = ([(3, n, None) for n in range(1, 11)] + [(5, n, None) for n in range(1, 6)]
+               + [(7, n, None) for n in range(1, 5)] + [(11, n, None) for n in range(1, 4)]
+               + [(13, n, None) for n in range(1, 4)] + [(101, 2, None), (10007, 1, None)]
+               + [(3, 3, (1, 0, 2, 1)), (5, 2, (2, 1, 1))] + NOT_X)
+
+
+@pytest.mark.parametrize("p,n,modulus", WALK_FIELDS)
+def test_tables_match_walk_oracle(p, n, modulus):
+    ctx = make_field(p, n, modulus)
+    if n > 1:
+        assert ((p, n, modulus) in NOT_X) == (ctx.generator.coeffs != (0, 1) + (0,) * (n - 2))
+    assert ctx.tables == oracle_tables(ctx)
+
+
+@pytest.mark.parametrize("p,n,modulus", [
+    (5, 1, None), (7, 1, None), (3, 4, None), (3, 5, None), (5, 3, None), *NOT_X[:4],
+])
+def test_tables_reject_power_of_generator(p, n, modulus):
+    # g^2 has order (q-1)/2; the walk meets 1 again halfway
+    ctx = make_field(p, n, modulus)
+    square = ctx.element_at(ctx.tables.exp[2])
+    with pytest.raises(FieldError, match="generator does not have order q-1"):
+        FieldCtx(p, n, ctx.modulus, square).tables
+
+
+@pytest.mark.parametrize("p,n,modulus", [f for f in WALK_FIELDS if f[0] ** f[1] <= 3 ** 7])
+def test_element_at_matches_divmod_oracle(p, n, modulus):
+    ctx = make_field(p, n, modulus)
+    for k in range(ctx.q):
+        digits, r = [], k
+        for _ in range(n):
+            r, d = divmod(r, p)
+            digits.append(d)
+        assert ctx.element_at(k).coeffs == tuple(digits), k
+    for k in (-1, ctx.q, ctx.q + 1):
+        with pytest.raises(FieldError, match=rf"element index {k} out of range \[0, {ctx.q}\)"):
+            ctx.element_at(k)
+
+
 @pytest.mark.parametrize("p,modulus,generator", [
     # x in F_3[x]/(x^2 + 1) has order 4, not 8
     pytest.param(3, (1, 0, 1), (0, 1), id="order-4"),
