@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import kloos, padic
+from . import kloos
 from .ff import is_prime, make_field
 from .sweeps import CHECKS, JobError, VerificationJob, emit_report, run_verification
 
@@ -124,6 +124,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
+    from . import padic
     ctx = _field_from_args(args)
     uctx = padic.lift_field(ctx, args.precision)
     values, g = padic._gauss_sum_factors(uctx, args.j)
@@ -143,6 +144,9 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from fractions import Fraction
+
+    from . import padic
     # the cap refuses every p > 2^27 before trial division would test it
     padic._check_gamma_modulus(args.p, args.precision)
     if not is_prime(args.p) or args.p == 2:
@@ -186,8 +190,22 @@ def _cmd_verify(args) -> int:
 
 
 def _run(job: VerificationJob, args, records: str) -> int:
-    """Run a sweep, write its report to --out or stdout, return the exit code."""
-    report = run_verification(job)
+    """Run a sweep, write its report to --out or stdout, return the exit code.
+
+    An --out path that cannot be written fails before any field is built.
+    It is opened for appending, so a sweep that then fails leaves an
+    existing file as it was; a file the check created is removed again.
+    """
+    created = False
+    if args.out is not None:
+        created = not os.path.lexists(args.out)
+        open(args.out, "a").close()
+    try:
+        report = run_verification(job)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     if args.out is None:
         emit_report(report, args.format, sys.stdout, records=records)
     else:

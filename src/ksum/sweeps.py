@@ -25,6 +25,10 @@ of 1331 elements, where Frobenius orbits alone give 451.  At p = 3 the
 step is the identity; Gauss indices and `spectrum`, whose rows sigma_c
 permutes, keep Frobenius orbits.  `--a`, `--j` and `--sample` evaluate
 exactly the indices they name.
+
+The process pool and the p-adic module are imported on first use: the
+pool when a sweep starts more than one worker, `padic` when a check with
+a precision lifts the field, so a run loads neither unless it needs it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,11 @@ import os
 import random
 import time
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 from typing import Callable, Optional, Sequence, TextIO
 
-from . import kloos, padic
+from . import kloos
 from .cyclo import CycInt
 from .ff import FFElem, FieldCtx, FieldError, _orbit_leaders, check_table_cap, make_field
 from .kloos import CongruenceReport, InternalCheckError
@@ -101,6 +103,12 @@ class CheckDef:
     rows: bool = True                # reads kloos counting rows
 
 
+def _padic():
+    """The p-adic module, imported the first time a check needs it."""
+    from . import padic
+    return padic
+
+
 CHECKS: dict[str, CheckDef] = {
     "thm1": CheckDef(
         "element", lambda c, u, i: [kloos.check_conjugate_product(c, c.element_at(i))],
@@ -112,10 +120,10 @@ CHECKS: dict[str, CheckDef] = {
         "element", lambda c, u, i: [kloos.check_mod27(c, c.element_at(i))],
         p=3, min_n=3, histogram=True, orbit=True),
     "fourier": CheckDef(
-        "element", lambda c, u, i: [padic.check_fourier_mod27(u, c.element_at(i))],
+        "element", lambda c, u, i: [_padic().check_fourier_mod27(u, c.element_at(i))],
         p=3, min_n=3, precision=(3, 3), orbit=True),
     "identities": CheckDef(
-        "element", lambda c, u, i: list(padic.identity_reports(u, c.element_at(i))),
+        "element", lambda c, u, i: list(_padic().identity_reports(u, c.element_at(i))),
         p=3, min_n=3, precision=(3, 1), rows=False),
     "moisio": CheckDef(
         "element", lambda c, u, i: [kloos.check_min_poly_reduction(c, c.element_at(i))],
@@ -127,10 +135,10 @@ CHECKS: dict[str, CheckDef] = {
         "element", lambda c, u, i: [kloos.check_weil_bound(c, c.element_at(i))],
         p=3, orbit=True),
     "stickelberger": CheckDef(
-        "exponent", lambda c, u, i: [padic.check_stickelberger(u, i)],
+        "exponent", lambda c, u, i: [_padic().check_stickelberger(u, i)],
         precision=(2, 1), orbit=True, rows=False),
     "wt1": CheckDef(
-        "exponent", lambda c, u, i: [padic.check_gauss_square_mod27(u, i)],
+        "exponent", lambda c, u, i: [_padic().check_gauss_square_mod27(u, i)],
         p=3, min_n=3, precision=(3, 3), orbit=True, rows=False),
     "spectrum": CheckDef("aggregate", None),
 }
@@ -239,7 +247,7 @@ def run_verification(job: VerificationJob) -> SweepReport:
         if precision < minimum:
             raise JobError(
                 f"check {job.check!r} needs precision >= {minimum}, got {precision}")
-        uctx = padic.lift_field(ctx, precision)
+        uctx = _padic().lift_field(ctx, precision)
     elif job.precision is not None:
         raise JobError(f"check {job.check!r} takes no precision, got {job.precision}")
 
@@ -270,10 +278,13 @@ def run_verification(job: VerificationJob) -> SweepReport:
         workers = min(workers, cpus, len(evaluated))
         evaluate = partial(_evaluate, job.check, ctx, uctx)
         member = (lambda i: i) if cd.domain == "exponent" else ctx.element_at
-        with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-            results = (map(evaluate, evaluated) if pool is None else
-                       pool.imap(evaluate, evaluated, math.ceil(len(evaluated) / workers)))
-            by_rep = dict(zip(evaluated, results))
+        if workers > 1:
+            from multiprocessing import Pool
+            with Pool(processes=workers) as pool:
+                chunk = math.ceil(len(evaluated) / workers)
+                by_rep = dict(zip(evaluated, pool.imap(evaluate, evaluated, chunk)))
+        else:
+            by_rep = dict(zip(evaluated, map(evaluate, evaluated)))
         cases = [r if i == rep else
                  CongruenceReport(r.subject, r.lhs, r.rhs, r.modulus, r.passed, member(i))
                  for i, rep in zip(indices, reps) for r in by_rep[rep]]

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, output discipline."""
 
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -637,6 +638,43 @@ def test_out_file_and_sample(tmp_path, capsys):
     assert target.read_text().splitlines() == lines
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "p=3,n=10", "--check", "mod27", "--all"],
+    ["spectrum", "--field", "p=3,n=11"],
+])
+def test_unwritable_out_fails_before_the_field(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a field was built for an unwritable --out")
+    monkeypatch.setattr(ksum.sweeps, "make_field", refuse)
+    target = tmp_path / "missing" / "report.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["verify", "--field", "p=3,n=3", "--check", "mod27", "--a", "1,0,0,0,0"], 2),
+    (["verify", "--field", "p=3,n=3", "--check", "fourier", "--all",
+      "--precision", "2"], 2),
+    (["verify", "--field", "p=3,n=2", "--check", "mod9", "--all", "--jobs", "1"], 3),
+])
+def test_failed_sweep_leaves_out_file_as_it_was(argv, rc, tmp_path, monkeypatch, capsys):
+    def broken(ctx, a):
+        raise InternalCheckError("trace counts do not cover the field")
+    monkeypatch.setattr(ksum.kloos, "check_mod9", broken)
+    old = tmp_path / "old.txt"
+    old.write_text("an earlier report\n")
+    assert main(argv + ["--out", str(old)]) == rc
+    assert old.read_text() == "an earlier report\n"
+    new = tmp_path / "new.txt"
+    assert main(argv + ["--out", str(new)]) == rc
+    assert not new.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_single_exponent_via_j(capsys):
     rc = main(["verify", "--field", "p=3,n=3", "--check", "wt1", "--j", "13",
                "--jobs", "1"])
@@ -665,7 +703,7 @@ def test_workers_bounded_by_cpus_and_witnesses(monkeypatch, capsys):
         def imap(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(ksum.sweeps, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     args = ["verify", "--field", "p=3,n=4", "--check", "mod27", "--all",
             "--format", "json-lines", "--records", "all"]
@@ -691,11 +729,18 @@ if __name__ == "__main__":
 """
 
 
-def test_spawn_start_method_gives_same_stdout():
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this ksum."""
     src = str(Path(ksum.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = ["verify", "--field", "p=3,n=4", "--check", "fourier", "--all",
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# mod27 never imports padic, in the main process or in a spawned worker
+@pytest.mark.parametrize("check", ["fourier", "mod27"])
+def test_spawn_start_method_gives_same_stdout(check):
+    env = _src_env()
+    args = ["verify", "--field", "p=3,n=4", "--check", check, "--all",
             "--jobs", "2", "--format", "json-lines", "--records", "all"]
     outputs = {}
     for method in ("default", "spawn"):
@@ -706,6 +751,57 @@ def test_spawn_start_method_gives_same_stdout():
         outputs[method] = proc.stdout
     assert outputs["spawn"] == outputs["default"]
     assert outputs["spawn"].count("\n") == 82
+
+
+# ------------------------------------------------------ start-up imports
+
+_LAZY_IMPORTS = ("multiprocessing", "ksum.padic", "fractions", "decimal")
+_IMPORTS_SCRIPT = """
+import json, os, sys
+import ksum.cli
+rc = 0
+if len(sys.argv) > 1:
+    os.cpu_count = lambda: 2          # a --jobs 2 sweep starts its pool
+    rc = ksum.cli.main(sys.argv[1:])
+print(json.dumps([m for m in %r if m in sys.modules]), file=sys.stderr)
+sys.exit(rc)
+""" % (_LAZY_IMPORTS,)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["verify", "--field", "p=3,n=4", "--check", "mod27", "--all", "--jobs", "1"], []),
+    (["spectrum", "--field", "p=3,n=4", "--jobs", "2"], []),
+    (["verify", "--field", "p=3,n=4", "--check", "fourier", "--a", "1,0,0,0"],
+     ["ksum.padic", "fractions", "decimal"]),
+    (["gamma", "--p", "5", "--x", "1/3"], ["ksum.padic", "fractions", "decimal"]),
+    (["verify", "--field", "p=3,n=4", "--check", "fourier", "--all", "--jobs", "2"],
+     list(_LAZY_IMPORTS)),
+])
+def test_a_run_imports_only_what_its_command_uses(argv, loaded):
+    # -S: no site hook imports anything before ksum does
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORTS_SCRIPT, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == loaded
+
+
+_SUBMODULES = ("ff", "cyclo", "kloos", "padic", "sweeps", "cli")
+
+
+def test_lazy_exports_are_the_submodule_objects():
+    assert len(set(ksum.__all__)) == len(ksum.__all__) == 48
+    for name in ksum.__all__:
+        home = sys.modules[f"ksum.{ksum._HOME[name]}"]
+        assert getattr(ksum, name) is getattr(home, name), name
+    namespace: dict = {}
+    exec("from ksum import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ksum.__all__)
+    for name in _SUBMODULES:
+        assert getattr(ksum, name) is sys.modules[f"ksum.{name}"]
+    assert {*ksum.__all__, *_SUBMODULES} <= set(dir(ksum))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ksum.no_such_name
 
 
 # ------------------------------------------------------- README examples
