@@ -8,8 +8,9 @@ constant one vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from ._value import Value
 
 
 class NonRationalCoefficient(ValueError):
@@ -29,17 +30,16 @@ def _reduce(p: int, buckets: Sequence[int]) -> tuple[int, ...]:
     return tuple(buckets[i] - top for i in range(p - 1))
 
 
-@dataclass(frozen=True)
-class CycInt:
+class CycInt(Value):
     """Element of Z[zeta_p] in coordinates over 1, zeta, ..., zeta^(p-2)."""
 
-    p: int
-    coords: tuple[int, ...]
+    __slots__ = ("p", "coords")
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.p - 1:
-            raise ValueError(
-                f"need {self.p - 1} coordinates for p={self.p}, got {len(self.coords)}")
+    def __init__(self, p: int, coords: tuple[int, ...]):
+        if len(coords) != p - 1:
+            raise ValueError(f"need {p - 1} coordinates for p={p}, got {len(coords)}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def zero(cls, p: int) -> CycInt:
@@ -127,18 +127,17 @@ class CycInt:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """Polynomial over Z, coefficients constant term first.
 
     Trailing zeros are stripped on construction; the zero polynomial is the
     empty tuple with degree -1.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        c = tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
 from typing import Iterator, NamedTuple, Optional, Sequence
+
+from ._value import Value
 
 
 class FieldError(ValueError):
@@ -176,11 +177,13 @@ def _has_full_order(x: tuple[int, ...], modulus: tuple[int, ...], p: int, q: int
     return all(_powmod(x, (q - 1) // r, modulus, p) != one for r in radical)
 
 
-@dataclass(frozen=True)
-class FFElem:
+class FFElem(Value):
     """Field element: residues mod p, constant coefficient first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -189,8 +192,7 @@ class FFElem:
         return ",".join(str(c) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(Value):
     """Subset of Z/(q-1)Z closed under multiplication by p.
 
     Closure under s -> p*s guarantees the associated power sum lands in the
@@ -199,20 +201,21 @@ class ExponentSet:
     classification.
     """
 
-    p: int
-    q: int
-    exponents: tuple[int, ...]
-    kind: str
+    __slots__ = ("p", "q", "exponents", "kind", "__dict__")
 
-    def __post_init__(self) -> None:
-        m = self.q - 1
-        members = set(self.exponents)
-        for s in self.exponents:
+    def __init__(self, p: int, q: int, exponents: tuple[int, ...], kind: str):
+        m = q - 1
+        members = set(exponents)
+        for s in exponents:
             if not 0 <= s < m:
                 raise FieldError(f"exponent {s} outside [0, {m})")
-            if (s * self.p) % m not in members:
+            if (s * p) % m not in members:
                 raise FieldError(
-                    f"exponent set {self.kind!r} is not closed under s -> p*s mod q-1")
+                    f"exponent set {kind!r} is not closed under s -> p*s mod q-1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "kind", kind)
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, int], ...]:

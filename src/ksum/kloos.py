@@ -15,43 +15,50 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
 
+from ._value import Value
 from .cyclo import CycInt, IntPolynomial, NonRationalCoefficient, product_linear
 from .ff import FFElem, FieldCtx, InternalCheckError, build_subset, legendre, power_sum
 
 
-@dataclass(frozen=True)
-class KloostermanValue:
+class KloostermanValue(Value):
     """counts[t] = number of x with Tr(1/x + a*x) = t; value = sum of zeta^t."""
 
-    counts: tuple[int, ...]
-    value: CycInt
+    __slots__ = ("counts", "value")
+
+    def __init__(self, counts: tuple[int, ...], value: CycInt):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "value", value)
 
     def as_int(self) -> Optional[int]:
         return self.value.as_rational()
 
 
-@dataclass(frozen=True)
-class MinPolyResult:
-    min_poly: IntPolynomial
-    multiplicity: int
-    char_poly: IntPolynomial
+class MinPolyResult(Value):
+    __slots__ = ("min_poly", "multiplicity", "char_poly")
+
+    def __init__(self, min_poly: IntPolynomial, multiplicity: int, char_poly: IntPolynomial):
+        object.__setattr__(self, "min_poly", min_poly)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "char_poly", char_poly)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(Value):
     """One verified relation; passed is True iff lhs equals rhs, except for
     the Weil bound, where it is True iff lhs <= rhs."""
 
-    subject: str
-    lhs: object
-    rhs: object
-    modulus: Optional[int]
-    passed: bool
-    witness: object
+    __slots__ = ("subject", "lhs", "rhs", "modulus", "passed", "witness")
+
+    def __init__(self, subject: str, lhs: object, rhs: object, modulus: Optional[int],
+                 passed: bool, witness: object):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
 @lru_cache(maxsize=None)

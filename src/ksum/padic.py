@@ -14,29 +14,28 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Union
 
+from ._value import Value
 from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
 from .kloos import CongruenceReport, InternalCheckError, kloosterman
 
 
-@dataclass(frozen=True)
-class PadicInt:
+class PadicInt(Value):
     """Element of Z_p known to `precision` base-p digits."""
 
-    p: int
-    precision: int
-    residue: int
+    __slots__ = ("p", "precision", "residue")
 
-    def __post_init__(self) -> None:
-        if self.precision < 1:
+    def __init__(self, p: int, precision: int, residue: int):
+        if precision < 1:
             raise ValueError("precision must be at least 1")
-        object.__setattr__(self, "residue", self.residue % self.p ** self.precision)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "residue", residue % p ** precision)
 
-    @cached_property
+    @property
     def pk(self) -> int:
         return self.p ** self.precision
 
@@ -266,12 +265,14 @@ def lift_field(field: FieldCtx, precision: int) -> UnramCtx:
     return UnramCtx(field, precision)
 
 
-@dataclass(frozen=True)
-class UnramElem:
+class UnramElem(Value):
     """Element of Z_q mod p^K in the lifted polynomial basis."""
 
-    ctx: UnramCtx
-    coords: tuple[int, ...]
+    __slots__ = ("ctx", "coords")
+
+    def __init__(self, ctx: UnramCtx, coords: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "coords", coords)
 
     def _check(self, other: UnramElem) -> None:
         if self.ctx != other.ctx:
@@ -324,20 +325,20 @@ class UnramElem:
         return FFElem(tuple(c % self.ctx.p for c in self.coords))
 
 
-@dataclass(frozen=True)
-class PiMonomial:
+class PiMonomial(Value):
     """pi^e * unit with pi^(p-1) = -p; exponent normalized into [0, p-2].
 
     Multiplicative only: sums of mixed pi-powers have no normal form here,
     so addition deliberately raises.
     """
 
-    pi_exponent: int
-    unit: UnramElem
+    __slots__ = ("pi_exponent", "unit")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.pi_exponent <= self.unit.ctx.p - 2:
+    def __init__(self, pi_exponent: int, unit: UnramElem):
+        if not 0 <= pi_exponent <= unit.ctx.p - 2:
             raise ValueError("pi exponent not normalized")
+        object.__setattr__(self, "pi_exponent", pi_exponent)
+        object.__setattr__(self, "unit", unit)
 
     @classmethod
     def of(cls, exponent: int, unit: UnramElem) -> PiMonomial:

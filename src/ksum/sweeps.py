@@ -26,9 +26,10 @@ step is the identity; Gauss indices and `spectrum`, whose rows sigma_c
 permutes, keep Frobenius orbits.  `--a`, `--j` and `--sample` evaluate
 exactly the indices they name.
 
-The process pool and the p-adic module are imported on first use: the
-pool when a sweep starts more than one worker, `padic` when a check with
-a precision lifts the field, so a run loads neither unless it needs it.
+The process pool, the p-adic module and `random` are imported on first
+use: the pool when a sweep starts more than one worker, `padic` when a
+check with a precision lifts the field, `random` when a `--sample` scope
+draws its indices, so a run loads none of them unless it needs it.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import kloos
+from ._value import Value
 from .cyclo import CycInt
 from .ff import FFElem, FieldCtx, FieldError, _orbit_leaders, check_table_cap, make_field
 from .kloos import CongruenceReport, InternalCheckError
@@ -53,29 +53,40 @@ class JobError(ValueError):
     """Invalid job configuration: unknown check, bad scope, bad field."""
 
 
-@dataclass(frozen=True)
-class VerificationJob:
-    p: int
-    n: int
-    check: str
-    modulus: Optional[tuple[int, ...]] = None
-    scope: tuple = ("all",)
-    jobs: Optional[int] = None
-    precision: Optional[int] = None
+class VerificationJob(Value):
+    __slots__ = ("p", "n", "check", "modulus", "scope", "jobs", "precision")
+
+    def __init__(self, p: int, n: int, check: str, modulus: Optional[tuple[int, ...]] = None,
+                 scope: tuple = ("all",), jobs: Optional[int] = None,
+                 precision: Optional[int] = None):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "precision", precision)
 
 
-@dataclass
-class SweepReport:
-    job: dict
-    total: int
-    cases: list[CongruenceReport]
-    failures: list[CongruenceReport]
-    histogram: Optional[dict]
-    wall_time: float
+class SweepReport(Value):
+    """The outcome of one job; unlike the other values, its fields can be reassigned."""
+
+    __slots__ = ("job", "total", "cases", "failures", "histogram", "wall_time")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, job: dict, total: int, cases: list[CongruenceReport],
+                 failures: list[CongruenceReport], histogram: Optional[dict], wall_time: float):
+        self.job = job
+        self.total = total
+        self.cases = cases
+        self.failures = failures
+        self.histogram = histogram
+        self.wall_time = wall_time
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(Value):
     """One check: its witness domain, evaluator, requirement and lift.
 
     `evaluate(ctx, uctx, idx)` returns the reports at one index; the
@@ -93,14 +104,25 @@ class CheckDef:
     --all sweep of it first builds every row in one transform.
     """
 
-    domain: str                      # element | exponent | aggregate
-    evaluate: Optional[Callable[[FieldCtx, object, int], list]]
-    p: Optional[int] = None          # required characteristic, None for any
-    min_n: int = 1
-    precision: Optional[tuple[int, int]] = None
-    histogram: bool = False          # tally lhs values (residue checks)
-    orbit: bool = False              # --all evaluates orbit representatives
-    rows: bool = True                # reads kloos counting rows
+    __slots__ = ("domain", "evaluate", "p", "min_n", "precision", "histogram", "orbit", "rows")
+
+    def __init__(self,
+                 domain: str,                 # element | exponent | aggregate
+                 evaluate: Optional[Callable[[FieldCtx, object, int], list]],
+                 p: Optional[int] = None,     # required characteristic, None for any
+                 min_n: int = 1,
+                 precision: Optional[tuple[int, int]] = None,
+                 histogram: bool = False,     # tally lhs values (residue checks)
+                 orbit: bool = False,         # --all evaluates orbit representatives
+                 rows: bool = True):          # reads kloos counting rows
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "evaluate", evaluate)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "min_n", min_n)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "histogram", histogram)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "rows", rows)
 
 
 def _padic():
@@ -186,6 +208,7 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[Se
         if not 0 <= count <= len(pool):
             raise JobError(f"sample size {count} outside [0, {len(pool)}]")
         check_table_cap(count, "a --sample scope", JobError)
+        import random
         indices = sorted(random.Random(seed).sample(pool, count))
         return indices, {"kind": "sample", "count": count, "seed": seed}
     raise JobError(f"unknown scope {kind!r}")

@@ -337,17 +337,17 @@ def test_gamma_cap_exit_two(argv, modulus, capsys):
 def test_gamma_cap_builds_no_padic_value(argv, modulus, monkeypatch, capsys):
     """The cap is decided from (p, K) before any p-adic value forms p^K."""
     built = []
-    real_post_init = ksum.padic.PadicInt.__post_init__
+    real_init = ksum.padic.PadicInt.__init__
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         built.append("PadicInt")
-        real_post_init(self)
+        real_init(self, *args)
 
     def counted_from_rational(*args, _real=ksum.padic.padic_from_rational):
         built.append("padic_from_rational")
         return _real(*args)
 
-    monkeypatch.setattr(ksum.padic.PadicInt, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ksum.padic.PadicInt, "__init__", counted_init)
     monkeypatch.setattr(ksum.padic, "padic_from_rational", counted_from_rational)
     assert main(argv) == 2
     assert f"got p^K = {modulus};" in capsys.readouterr().err
@@ -755,7 +755,8 @@ def test_spawn_start_method_gives_same_stdout(check):
 
 # ------------------------------------------------------ start-up imports
 
-_LAZY_IMPORTS = ("multiprocessing", "ksum.padic", "fractions", "decimal")
+_LAZY_IMPORTS = ("multiprocessing", "ksum.padic", "fractions", "decimal", "random",
+                 "dataclasses", "inspect")
 _IMPORTS_SCRIPT = """
 import json, os, sys
 import ksum.cli
@@ -775,8 +776,11 @@ sys.exit(rc)
     (["verify", "--field", "p=3,n=4", "--check", "fourier", "--a", "1,0,0,0"],
      ["ksum.padic", "fractions", "decimal"]),
     (["gamma", "--p", "5", "--x", "1/3"], ["ksum.padic", "fractions", "decimal"]),
+    # the pool loads random itself
     (["verify", "--field", "p=3,n=4", "--check", "fourier", "--all", "--jobs", "2"],
-     list(_LAZY_IMPORTS)),
+     ["multiprocessing", "ksum.padic", "fractions", "decimal", "random"]),
+    (["verify", "--field", "p=3,n=4", "--check", "thm1", "--sample", "3", "--jobs", "1"],
+     ["random"]),
 ])
 def test_a_run_imports_only_what_its_command_uses(argv, loaded):
     # -S: no site hook imports anything before ksum does

@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import re
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +15,7 @@ from ksum.cyclo import CycInt
 from ksum.cli import main
 from ksum.ff import _orbit_leaders, make_field
 from ksum.kloos import CongruenceReport, InternalCheckError
-from ksum.sweeps import (CHECKS, JobError, SweepReport, VerificationJob,
+from ksum.sweeps import (CHECKS, CheckDef, JobError, SweepReport, VerificationJob,
                          emit_report, run_verification)
 
 
@@ -268,7 +267,8 @@ def _evaluations(monkeypatch, job):
         seen.append(i)
         return cd.evaluate(c, u, i)
 
-    monkeypatch.setitem(CHECKS, job.check, replace(cd, evaluate=counted))
+    monkeypatch.setitem(CHECKS, job.check, CheckDef(
+        cd.domain, counted, cd.p, cd.min_n, cd.precision, cd.histogram, cd.orbit, cd.rows))
     rep = run_verification(job)
     monkeypatch.setitem(CHECKS, job.check, cd)
     return rep, seen
@@ -426,7 +426,8 @@ def test_tuple_cells_render_as_lists_and_joined_cells():
     rep, text = render(VerificationJob(5, 2, "moisio", jobs=1), fmt="csv")
     assert "moisio,1:0,0:0:1,0:0:1,5,true" in text.splitlines()
     case = next(r for r in rep.cases if r.witness.coeffs == (1, 0))
-    bad = replace(case, passed=False)
+    bad = CongruenceReport(case.subject, case.lhs, case.rhs, case.modulus, False, case.witness)
     buf = io.StringIO()
-    emit_report(replace(rep, cases=[bad], failures=[bad], total=1), "summary", buf)
+    report = SweepReport(rep.job, 1, [bad], [bad], rep.histogram, rep.wall_time)
+    emit_report(report, "summary", buf)
     assert buf.getvalue().splitlines()[0] == "FAIL moisio witness=1:0 lhs=0:0:1 rhs=0:0:1"
