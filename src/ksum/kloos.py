@@ -5,7 +5,10 @@ by counting how often each trace value occurs, so the result is exact and
 the count vector doubles as a certificate.  A row of counts comes from one
 of two engines: counting over the field at a single a, or, for a sweep of
 the whole field, one Fourier transform over F_p^n that yields every row at
-once (`_count_table`).  `_counts_by_index` is the one accessor of both.
+once (`_count_table`), on one big integer per trace value with a 32-bit
+count field per element, certified by the second and fourth Kloosterman
+moments (`ksum._kloos_table`, loaded only by whole-field sweeps).
+`_counts_by_index` is the one accessor of both.
 Conjugates are obtained by re-summation at scaled arguments; the Galois
 action on coordinates is kept as an independent cross-check rather than
 the computation path.
@@ -97,46 +100,10 @@ def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
 
 
 def _count_table(ctx: FieldCtx) -> list[tuple[int, ...]]:
-    """Every counting row of the field, in element-index order, from one transform.
-
-    Write y(x) = (Tr(x * w^i))_i, w^i the basis monomials, for the
-    coordinates of x in the dual basis of the trace form.  The form is
-    nondegenerate, so y runs once over F_p^n, and Tr(a*x) = a . y for a
-    with coordinates a_i.  The row of a therefore counts the y with
-    h(y) + a . y = t, where h(y) = Tr(1/x): one Fourier transform over
-    F_p^n of the one-hot vectors c[.][y] = [h(y) = .].  It takes n passes
-    over the top digit of y, O(n * q * p^2) in all.  Output digit b sums
-    the slabs of top digit x with components shifted by b*x and becomes
-    the lowest digit, so after n passes the digits are back in index order.
-    """
-    p, n, q = ctx.p, ctx.n, ctx.q
-    t = ctx.tables
-    y = [0] * (q - 1)                  # index of y(g^k), by k
-    for i in reversed(range(n)):       # w^i has element index p^i
-        start = t.log[p ** i]
-        y = [v * p + c for v, c in zip(y, t.trace_by_log2[start:start + q - 1])]
-    if not 0 <= min(y) <= max(y) < q:  # a negative v would alias slot v + q
-        raise InternalCheckError("dual coordinates do not cover the field")
-    h: list[Optional[int]] = [None] * q
-    h[0] = 0                           # x = 0 has y = 0 and Tr(1/0) = 0
-    for v, s in zip(y, t.trace_by_log2[q - 1:0:-1]):   # Tr(g^-k), by k
-        h[v] = s
-    if None in h:
-        raise InternalCheckError("dual coordinates do not cover the field")
-    c = [[int(v == s) for v in h] for s in range(p)]
-    m = q // p
-    for _ in range(n):
-        slabs = [[cs[x * m:(x + 1) * m] for x in range(p)] for cs in c]
-        c = [[0] * q for _ in range(p)]
-        for b in range(p):
-            for s in range(p):
-                c[s][b::p] = reduce(lambda u, v: map(operator.add, u, v),
-                                    [slabs[(s - b * x) % p][x] for x in range(p)])
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}    # one object per distinct row
-    rows = [shared.setdefault(r, r) for r in zip(*c)]
-    if any(sum(r) != q for r in shared):
-        raise InternalCheckError("trace counts do not cover the field")
-    return rows
+    """Every counting row of the field, in element-index order, from one
+    transform: see `ksum._kloos_table`, which only whole-field sweeps load."""
+    from . import _kloos_table
+    return _kloos_table.count_table(ctx)
 
 
 def kloosterman(ctx: FieldCtx, a: FFElem) -> KloostermanValue:

@@ -790,6 +790,20 @@ def test_a_run_imports_only_what_its_command_uses(argv, loaded):
     assert json.loads(proc.stderr.splitlines()[-1]) == loaded
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["kloosterman", "--field", "p=3,n=4", "--a", "1,2,0,1"], False),
+    (["verify", "--field", "p=3,n=4", "--check", "mod27", "--a", "1,2,0,1"], False),
+    (["spectrum", "--field", "p=3,n=4"], True),
+], ids=["kloosterman", "a", "spectrum"])
+def test_only_whole_field_sweeps_load_the_table_engine(argv, loaded):
+    script = ("import sys, ksum.cli; rc = ksum.cli.main(sys.argv[1:]); "
+              "print('ksum._kloos_table' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loaded)
+
+
 _SUBMODULES = ("ff", "cyclo", "kloos", "padic", "sweeps", "cli")
 
 

@@ -7,9 +7,17 @@ schoolbook oracles in test_ff. The fast path must reproduce its count
 vector exactly, element by element.
 """
 
+import operator
+from array import array
+from collections import Counter
+from functools import reduce
+
 import pytest
 
+import ksum._kloos_table
+import ksum.ff
 import ksum.kloos
+from ksum.cli import main
 from ksum.cyclo import CycInt, product_linear
 from ksum.ff import make_field
 from ksum.kloos import (InternalCheckError, check_conjugate_product,
@@ -237,3 +245,100 @@ def test_count_table_shares_equal_rows():
     # one tuple object per distinct row, so the table costs a pointer per element
     rows = ksum.kloos._count_table(make_field(3, 6))
     assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+
+
+def slab_count_table(ctx):
+    """Every counting row from a transform on lists, the oracle of the packed
+    one: n passes over the top digit of y, each summing p slabs of q/p
+    entries shifted by b*x, whose output digit b becomes the lowest digit, so
+    after n passes the digits are back in index order.  O(n * q * p^2) steps."""
+    p, n, q = ctx.p, ctx.n, ctx.q
+    t = ctx.tables
+    y = [0] * (q - 1)
+    for i in reversed(range(n)):
+        start = t.log[p ** i]
+        y = [v * p + c for v, c in zip(y, t.trace_by_log2[start:start + q - 1])]
+    h = [None] * q
+    h[0] = 0
+    for v, s in zip(y, t.trace_by_log2[q - 1:0:-1]):
+        h[v] = s
+    assert None not in h
+    c = [[int(v == s) for v in h] for s in range(p)]
+    m = q // p
+    for _ in range(n):
+        slabs = [[cs[x * m:(x + 1) * m] for x in range(p)] for cs in c]
+        c = [[0] * q for _ in range(p)]
+        for b in range(p):
+            for s in range(p):
+                c[s][b::p] = reduce(lambda u, v: map(operator.add, u, v),
+                                    [slabs[(s - b * x) % p][x] for x in range(p)])
+    return [tuple(r) for r in zip(*c)]
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_count_table_matches_slab_oracle(n):
+    # sizes where the per-row oracle is too slow for tier 1
+    ctx = make_field(3, n)
+    assert ksum.kloos._count_table(ctx) == slab_count_table(ctx)
+
+
+@pytest.mark.parametrize("p,n,modulus", [f for f in _TABLE_FIELDS if f[1] >= 2])
+def test_count_table_moments(p, n, modulus):
+    # sum over a != 0 of Kl(a)^k, Kl = K - 1, in Z[zeta_p] from the rows
+    ctx = make_field(p, n, modulus)
+    rows = ksum.kloos._count_table(ctx)
+    q, one = ctx.q, CycInt.from_int(p, 1)
+    moments = {2: CycInt.zero(p), 4: CycInt.zero(p)}
+    for row, mult in Counter(rows[1:]).items():
+        kl = CycInt.from_power_counts(p, row) - one
+        kl2 = kl * kl
+        moments[2] = moments[2] + CycInt.from_int(p, mult) * kl2
+        moments[4] = moments[4] + CycInt.from_int(p, mult) * kl2 * kl2
+    assert moments[2].as_rational() == q * q - q - 1
+    assert moments[4].as_rational() == 2 * q ** 3 - 3 * q * q - 3 * q - 1
+
+
+def corrupt_planes(monkeypatch, corrupt):
+    real = ksum._kloos_table.planes
+    monkeypatch.setattr(ksum._kloos_table, "planes", lambda ctx: corrupt(ctx, real(ctx)))
+
+
+def test_count_table_rejects_a_corrupt_row_class(monkeypatch):
+    # K -> K + 3 on every element of one class: still rational, and every
+    # row still sums to q, so only the moments see it
+    ctx = make_field(3, 5)
+    rows = ksum.kloos._count_table(ctx)
+    victim = rows[1]
+    W = ksum._kloos_table.W
+
+    def corrupt(ctx, planes):
+        c0, c1, c2 = planes
+        for a, row in enumerate(rows):
+            if row == victim:
+                c0, c1, c2 = c0 + (2 << W * a), c1 - (1 << W * a), c2 - (1 << W * a)
+        return [c0, c1, c2]
+
+    corrupt_planes(monkeypatch, corrupt)
+    with pytest.raises(InternalCheckError, match="moment 2"):
+        ksum.kloos._count_table(ctx)
+
+
+def test_count_table_rejects_a_plane_wider_than_the_table(monkeypatch, capsys):
+    # an output digit shifted one field too far must stop the sweep with
+    # exit 3, not overflow int.to_bytes
+    W = ksum._kloos_table.W
+    corrupt_planes(monkeypatch, lambda ctx, planes: [c << W for c in planes])
+    with pytest.raises(InternalCheckError, match="overflows"):
+        ksum.kloos._count_table(make_field(3, 4))
+    assert main(["spectrum", "--field", "p=3,n=4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: a packed count overflows the table\n"
+
+
+def test_packed_count_field_holds_the_table_cap():
+    # a count is at most q <= MAX_TABLE_Q; raising the cap past the field
+    # width would let one count carry into the next element's field
+    table = ksum._kloos_table
+    assert ksum.ff.MAX_TABLE_Q < 2 ** table.W
+    assert array(table._TYPECODE).itemsize * 8 == table.W
