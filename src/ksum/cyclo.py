@@ -205,22 +205,11 @@ class IntPolynomial(Value):
 def product_linear(roots: Sequence[CycInt]) -> IntPolynomial:
     """Expand prod (x - r) over the given roots and demand Z coefficients.
 
+    The expansion is one product tree on packed integers, in
+    `ksum._product_tree`, which only runs that expand a polynomial load.
+
     Raises NonRationalCoefficient identifying the first offending
     coefficient index if the expansion does not descend to Z[x].
     """
-    if not roots:
-        return IntPolynomial((1,))
-    p = roots[0].p
-    poly: list[CycInt] = [CycInt.one(p)]
-    for r in roots:
-        neg = -r
-        shifted = [CycInt.zero(p)] + poly          # x * poly
-        scaled = [neg * c for c in poly] + [CycInt.zero(p)]
-        poly = [u + v for u, v in zip(shifted, scaled)]
-    out = []
-    for idx, c in enumerate(poly):
-        v = c.as_rational()
-        if v is None:
-            raise NonRationalCoefficient(idx, c)
-        out.append(v)
-    return IntPolynomial(tuple(out))
+    from ._product_tree import expand
+    return expand(roots)

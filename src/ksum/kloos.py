@@ -127,6 +127,10 @@ def min_poly(ctx: FieldCtx, a: FFElem) -> MinPolyResult:
     The conjugate family runs over the Galois orbit of K(a), each value
     repeated equally often; that repeat count is the multiplicity, and the
     char poly prod (x - K(i^2 a)) is the minimal polynomial to that power.
+
+    The packed expansion is certified by an independent engine: the
+    schoolbook product of the distinct conjugates, through `CycInt`
+    multiplication, must equal (-1)^d * m(0) for d of them.
     """
     counts = Counter(kv.value for kv in conjugate_family(ctx, a))
     repeats = set(counts.values())
@@ -138,6 +142,11 @@ def min_poly(ctx: FieldCtx, a: FFElem) -> MinPolyResult:
         m = product_linear(list(counts))
     except NonRationalCoefficient as e:
         raise InternalCheckError(str(e)) from e
+    norm = reduce(operator.mul, counts)
+    expect = (-1) ** m.degree * m.coeffs[0]
+    if norm != CycInt.from_int(ctx.p, expect):
+        raise InternalCheckError(
+            f"the conjugate product {norm} is not (-1)^d * m(0) = {expect}")
     return MinPolyResult(m, mult, m ** mult)
 
 

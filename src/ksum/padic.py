@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
+from array import array
 from functools import cached_property, lru_cache, reduce
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from ._value import Value
 from .ff import FFElem, FieldCtx, _mulmod, _powmod, build_subset, power_sum
 from .kloos import CongruenceReport, InternalCheckError, kloosterman
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PadicInt(Value):
@@ -85,9 +88,9 @@ def padic_from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     return PadicInt(p, precision, num * pow(den, -1, pk))
 
 
-# a gamma_p call multiplies fewer than 2 * p^ceil(K/2) factors, the block
-# product of its (p, K) included; at K = 1 every residue is in block 0, so
-# fewer than p; 2^27 keeps 101^4
+# a (p, K >= 2) keeps tables of p^ceil(K/2) + 1 and p^floor(K/2) entries,
+# 259 591 at most (p = 509, K = 3); at K = 1 a gamma_p call walks fewer than
+# p factors; 2^27 keeps 101^4
 GAMMA_MAX_MODULUS = 2 ** 27
 
 
@@ -108,25 +111,38 @@ def _check_gamma_modulus(p: int, precision: int) -> None:
             f"gamma_p needs p^K <= 2^27, got p^K = {p}^{precision}; lower the precision")
 
 
-def _unit_product(acc: int, lo: int, hi: int, p: int, pk: int) -> int:
-    """acc times every t in [lo, hi) coprime to p, mod pk."""
-    for t in range(lo, hi):
+@lru_cache(maxsize=8)
+def _gamma_tables(p: int, precision: int) -> tuple[array, array]:
+    """P and H of (p, K), with B = p^ceil(K/2) and M = p^floor(K/2).
+
+    P[r], r = 0..B, is the product of the units below r, mod p^K.  H[r],
+    r < M, is the sum of their inverses mod M, from one inversion: 1/s is
+    P[s] times the product of the units in (s, M) over P[M].  For the units
+    s < r <= B, prod(mB + s) = P[r] * (1 + mB * sum(1/s)) mod B^2, and B^2
+    and B * M are 0 mod p^K, so the sum counts only mod M.  The inverses
+    mod M permute the units below M, whose sum M * phi(M) / 2 is 0 mod M,
+    so that sum is H[r mod M], and every block [mB, mB + B) has the unit
+    product c = P[B].
+    """
+    pk = p ** precision
+    block = p ** -(-precision // 2)
+    prefix = array("l", [1])
+    acc = 1
+    for t in range(block):
         if t % p:
             acc = acc * t % pk
-    return acc
-
-
-@lru_cache(maxsize=8)
-def _gamma_block_product(p: int, precision: int) -> int:
-    """c, the product of the t < B coprime to p, mod p^K, with B = p^ceil(K/2).
-
-    Every block [mB, mB + B) has the same unit product c mod p^K.  For the
-    units s < B, prod(mB + s) = prod(s) * (1 + mB * sum(1/s)) mod B^2, and
-    B^2 = 0 mod p^K.  The inverses mod B permute the units, whose sum
-    B * phi(B) / 2 is 0 mod B once B > 2; B = 2 only at p^K <= 4, where
-    every residue lies in block 0 or 1.
-    """
-    return _unit_product(1, 0, p ** -(-precision // 2), p, p ** precision)
+        prefix.append(acc)
+    mod = pk // block
+    harmonic = array("l", [0]) * mod
+    suffix = pow(prefix[mod], -1, mod)         # 1 / P[s + 1] at step s
+    for s in range(mod - 1, 0, -1):
+        if s % p:
+            harmonic[s] = prefix[s] * suffix % mod
+            suffix = suffix * s % mod
+    acc = 0
+    for s in range(mod):                       # each 1/s becomes its prefix sum
+        harmonic[s], acc = acc, (acc + harmonic[s]) % mod
+    return prefix, harmonic
 
 
 def gamma_p(x: PadicInt) -> PadicInt:
@@ -134,17 +150,25 @@ def gamma_p(x: PadicInt) -> PadicInt:
 
     Gamma(k) = (-1)^k * prod of t < k coprime to p.  Continuity mod p^K
     (for p^K != 4) makes the value at the residue class exact to the full
-    working precision.  At k = mB + r with B = p^ceil(K/2), the product is
-    c^m times the units in [mB, k), with c the cached block product of
-    (p, K), formed at the first call with m > 0: one pow and fewer than B
-    further factors per call.
+    working precision.  At K >= 2 and k = mB + r with B = p^ceil(K/2), the
+    product is c^m * P[r] * (1 + mB * H[r mod M]) from the tables of (p, K).
+    At K = 1, where B = p can reach the cap, it walks the k - 1 factors.
     """
     p, precision = x.p, x.precision
     _check_gamma_modulus(p, precision)
     pk, k = x.pk, x.residue
-    m, r = divmod(k, p ** -(-precision // 2))
-    acc = pow(_gamma_block_product(p, precision), m, pk) if m else 1
-    acc = _unit_product(acc, k - r, k, p, pk)
+    if precision == 1:
+        acc = 1
+        for t in range(2, k):
+            acc = acc * t % pk
+    else:
+        prefix, harmonic = _gamma_tables(p, precision)
+        block = len(prefix) - 1
+        m, r = divmod(k, block)
+        acc = prefix[r] * (1 + m * block * harmonic[r % len(harmonic)])
+        if m:
+            acc *= pow(prefix[block], m, pk)
+        acc %= pk
     if k & 1:
         acc = -acc
     return PadicInt(p, precision, acc)
@@ -384,16 +408,21 @@ def lifted_power_sum(uctx: UnramCtx, subset, a: FFElem) -> UnramElem:
 
 def _gamma_arguments(uctx: UnramCtx, j: int) -> tuple[Fraction, ...]:
     """The Gross-Koblitz arguments (p^i * j mod (q-1)) / (q-1), i = 0..n-1."""
+    from fractions import Fraction
     q, p = uctx.field.q, uctx.p
     return tuple(Fraction((p ** i * j) % (q - 1), q - 1) for i in range(uctx.n))
 
 
 def _gamma_values(uctx: UnramCtx, j: int) -> tuple[PadicInt, ...]:
-    """Gamma_p at each Gross-Koblitz argument of j, mod p^K."""
-    _check_gamma_modulus(uctx.p, uctx.precision)
-    return tuple(
-        gamma_p(padic_from_rational(f.numerator, f.denominator, uctx.p, uctx.precision))
-        for f in _gamma_arguments(uctx, j))
+    """Gamma_p at each Gross-Koblitz argument of j, mod p^K.
+
+    The residue of (p^i * j mod (q-1)) / (q-1) does not depend on reducing
+    the fraction, since q - 1 is prime to p.
+    """
+    p, precision, q = uctx.p, uctx.precision, uctx.field.q
+    _check_gamma_modulus(p, precision)
+    unit = padic_from_rational(1, q - 1, p, precision)
+    return tuple(gamma_p(unit * (p ** i * j % (q - 1))) for i in range(uctx.n))
 
 
 def _gauss_sum_factors(uctx: UnramCtx, j: int) -> tuple[tuple[PadicInt, ...], PiMonomial]:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import ksum
+import ksum._product_tree
 import ksum.cli
+import ksum.cyclo
 import ksum.ff
 import ksum.kloos
 import ksum.padic
@@ -132,6 +134,37 @@ def test_non_rational_min_poly_exit_three(check, monkeypatch, capsys):
     assert captured.err == (
         "internal error: coefficient at index 0 is not a rational integer: "
         f"-3 + 4*z + 6*z^2 + 3*z^3 (check {check}, --a 2,1)\n")
+
+
+def test_narrow_expansion_slots_exit_three(monkeypatch, capsys):
+    # one byte narrower than the bound asks (one byte at least) overflows
+    # slots of the packed expansion at p = 7, n = 3
+    real = ksum._product_tree.slot_bytes
+    monkeypatch.setattr(ksum._product_tree, "slot_bytes", lambda bound: max(real(bound) - 1, 1))
+    rc = main(["verify", "--field", "p=7,n=3", "--check", "moisio", "--all", "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "(check moisio, --a " in captured.err
+
+
+@pytest.mark.parametrize("check", ["moisio", "wan"])
+def test_rational_but_wrong_expansion_fails_its_certificate(check, monkeypatch, capsys):
+    # m(0) + p^2 keeps m = x^d mod p, so only the conjugate product sees it
+    real = ksum.kloos.product_linear
+
+    def shifted(roots):
+        m = real(roots)
+        return ksum.cyclo.IntPolynomial((m.coeffs[0] + 25,) + m.coeffs[1:])
+
+    monkeypatch.setattr(ksum.kloos, "product_linear", shifted)
+    rc = main(["verify", "--field", "p=5,n=2", "--check", check, "--all", "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: the conjugate product 0 is not (-1)^d * m(0) "
+                            f"= -25 (check {check}, --a 0,0)\n")
 
 
 @pytest.fixture
@@ -756,7 +789,7 @@ def test_spawn_start_method_gives_same_stdout(check):
 # ------------------------------------------------------ start-up imports
 
 _LAZY_IMPORTS = ("multiprocessing", "ksum.padic", "fractions", "decimal", "random",
-                 "dataclasses", "inspect")
+                 "dataclasses", "inspect", "ksum._product_tree")
 _IMPORTS_SCRIPT = """
 import json, os, sys
 import ksum.cli
@@ -773,14 +806,16 @@ sys.exit(rc)
     ([], []),
     (["verify", "--field", "p=3,n=4", "--check", "mod27", "--all", "--jobs", "1"], []),
     (["spectrum", "--field", "p=3,n=4", "--jobs", "2"], []),
+    # padic loads fractions only for the gamma arguments that gauss prints
     (["verify", "--field", "p=3,n=4", "--check", "fourier", "--a", "1,0,0,0"],
-     ["ksum.padic", "fractions", "decimal"]),
+     ["ksum.padic"]),
     (["gamma", "--p", "5", "--x", "1/3"], ["ksum.padic", "fractions", "decimal"]),
     # the pool loads random itself
     (["verify", "--field", "p=3,n=4", "--check", "fourier", "--all", "--jobs", "2"],
-     ["multiprocessing", "ksum.padic", "fractions", "decimal", "random"]),
+     ["multiprocessing", "ksum.padic", "random"]),
     (["verify", "--field", "p=3,n=4", "--check", "thm1", "--sample", "3", "--jobs", "1"],
      ["random"]),
+    (["minpoly", "--field", "p=5,n=2", "--a", "0,1"], ["ksum._product_tree"]),
 ])
 def test_a_run_imports_only_what_its_command_uses(argv, loaded):
     # -S: no site hook imports anything before ksum does

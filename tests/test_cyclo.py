@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ksum._product_tree
 from ksum.cyclo import (CycInt, IntPolynomial, NonRationalCoefficient,
                         product_linear)
+from ksum.ff import make_field
+from ksum.kloos import conjugate_family
 
 
 # ---------------------------------------------------------------- oracle
@@ -47,8 +50,38 @@ def vec_galois(p, a, i):
     return out
 
 
-def rand_cyc(p, rng):
-    return CycInt(p, tuple(rng.randrange(-9, 10) for _ in range(p - 1)))
+def rand_cyc(p, rng, size=9):
+    return CycInt(p, tuple(rng.randrange(-size, size + 1) for _ in range(p - 1)))
+
+
+def schoolbook_product_linear(roots):
+    """prod (x - r) by a left-to-right chain of CycInt multiplies: the
+    expansion product_linear made before it packed the product tree."""
+    if not roots:
+        return IntPolynomial((1,))
+    p = roots[0].p
+    poly = [CycInt.one(p)]
+    for r in roots:
+        neg = -r
+        shifted = [CycInt.zero(p)] + poly          # x * poly
+        scaled = [neg * c for c in poly] + [CycInt.zero(p)]
+        poly = [u + v for u, v in zip(shifted, scaled)]
+    out = []
+    for idx, c in enumerate(poly):
+        v = c.as_rational()
+        if v is None:
+            raise NonRationalCoefficient(idx, c)
+        out.append(v)
+    return IntPolynomial(tuple(out))
+
+
+def expansion(expand, roots):
+    """The expansion, or the index and value of its first non-rational
+    coefficient."""
+    try:
+        return expand(roots)
+    except NonRationalCoefficient as e:
+        return e.index, e.value
 
 
 # ----------------------------------------------------------- construction
@@ -231,3 +264,86 @@ def test_product_linear_rejects_unbalanced_roots():
     with pytest.raises(NonRationalCoefficient) as exc:
         product_linear([CycInt.zeta_power(5, 1)])
     assert exc.value.index == 0
+
+
+# ----------------------------------------- packed tree against schoolbook
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_product_linear_matches_schoolbook(seed):
+    """Balanced (Galois-stable) and unbalanced roots, with large and negative
+    coordinates: equal polynomials, or the same index and value raised."""
+    rng = random.Random(seed)
+    p = rng.choice((3, 5, 7, 11, 13, 31))
+    size = rng.choice((1, 9, 10 ** 4, 10 ** 40))
+    if rng.random() < 0.5:
+        u = rand_cyc(p, rng, size)
+        roots = [u.galois(i) for i in range(1, p)]
+        rng.shuffle(roots)
+    else:
+        roots = [rand_cyc(p, rng, size) for _ in range(rng.randrange(1, 10))]
+    assert (expansion(product_linear, roots)
+            == expansion(schoolbook_product_linear, roots))
+
+
+def test_product_linear_degree_zero_and_one():
+    assert product_linear([]) == schoolbook_product_linear([]) == IntPolynomial((1,))
+    for p in (3, 5, 31):
+        for c in (0, 1, -1, 7, -(10 ** 30)):
+            root = CycInt.from_int(p, c)
+            assert product_linear([root]).coeffs == (-c, 1)
+            assert product_linear([root]) == schoolbook_product_linear([root])
+
+
+def test_product_linear_rejects_mixed_orders():
+    for roots in ([CycInt.one(5), CycInt.one(7)],
+                  [CycInt.one(3)] * 4 + [CycInt.one(5)]):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            product_linear(roots)
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            schoolbook_product_linear(roots)
+
+
+@pytest.mark.parametrize("roots", [
+    [CycInt.zeta_power(5, 1)],
+    [CycInt(7, (3, 1, 0, 0, 0, -2)), CycInt(7, (3, -1, 0, 0, 0, 2))],
+    [CycInt(5, (1, 2, 3, 4)).galois(i) for i in (1, 2, 3)],
+    [CycInt(11, (0,) * 9 + (10 ** 20,))] * 3,
+])
+def test_product_linear_unbalanced_roots_name_the_same_coefficient(roots):
+    with pytest.raises(NonRationalCoefficient) as got:
+        product_linear(roots)
+    with pytest.raises(NonRationalCoefficient) as want:
+        schoolbook_product_linear(roots)
+    assert (got.value.index, got.value.value) == (want.value.index, want.value.value)
+
+
+def test_product_linear_fifty_conjugates_at_p101():
+    """d = 50 at p = 101: the widest slots any CLI run packs."""
+    ctx = make_field(101, 2)
+    family = [kv.value for kv in conjugate_family(ctx, ctx.one())]
+    assert len(set(family)) == 50
+    got = product_linear(family)
+    assert got == schoolbook_product_linear(family)
+    assert got.degree == 50 and got.mod_coeffs(101) == IntPolynomial.x_power(50).coeffs
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 3), (11, 3), (13, 2)])
+def test_product_linear_every_conjugate_family(p, n):
+    ctx = make_field(p, n)
+    families = {frozenset(kv.value for kv in conjugate_family(ctx, a))
+                for a in ctx.elements()}
+    for family in families:
+        roots = sorted(family, key=lambda u: u.coords)
+        assert product_linear(roots) == schoolbook_product_linear(roots), roots
+
+
+def test_product_linear_needs_its_slot_width(monkeypatch):
+    """One byte narrower than slot_bytes corrupts x^2 - c^2 at c = 2^13,
+    whose slot value c^2 comes within 5 bits of the width."""
+    c = CycInt.from_int(3, 2 ** 13)
+    want = IntPolynomial((-2 ** 26, 0, 1))
+    assert product_linear([c, -c]) == want
+    real = ksum._product_tree.slot_bytes
+    monkeypatch.setattr(ksum._product_tree, "slot_bytes", lambda bound: real(bound) - 1)
+    assert expansion(product_linear, [c, -c]) != want

@@ -2,7 +2,8 @@
 
 gamma_p is pinned to a recurrence oracle: Gamma(0) = 1 and
 Gamma(k+1) = -k * Gamma(k) when p does not divide k, else -Gamma(k).
-The closed product the implementation uses must walk the same ladder.
+The tables the implementation reads must give the same ladder, and are
+checked against their definitions by a direct unit product.
 Teichmuller lifts are pinned by their defining properties, which determine
 them uniquely: reduction, (q-1)-th root of unity, multiplicativity; and by
 the K-step Frobenius loop, as an oracle.
@@ -99,7 +100,7 @@ def test_gamma_matches_recurrence_oracle():
 
 
 def _gamma_from_cold_cache(p, precision, ks):
-    ksum.padic._gamma_block_product.cache_clear()
+    ksum.padic._gamma_tables.cache_clear()
     return {k: gamma_p(PadicInt(p, precision, k)).residue for k in ks}
 
 
@@ -127,38 +128,52 @@ def test_gamma_table_block_boundaries(p, precision):
         assert _gamma_from_cold_cache(p, precision, order) == expect, (p, precision)
 
 
+def unit_product(lo, hi, p, pk):
+    """The t in [lo, hi) coprime to p, multiplied mod pk."""
+    acc = 1
+    for t in range(lo, hi):
+        if t % p:
+            acc = acc * t % pk
+    return acc
+
+
 @pytest.mark.parametrize("p,precision", [(3, 1), (3, 4), (3, 9), (5, 3), (7, 4),
                                          (11, 3), (101, 2)])
 def test_gamma_every_block_has_the_same_unit_product(p, precision):
-    """The units of each [m*B, m*B + B) multiply to c mod p^K, so c^m replaces them."""
+    """The units of each [m*B, m*B + B) multiply to c = P[B] mod p^K, so c^m
+    replaces them; P and H also match their definitions entry by entry."""
     pk = p ** precision
     block = p ** -(-precision // 2)
-    c = ksum.padic._gamma_block_product(p, precision)
+    mod = pk // block
+    prefix, harmonic = ksum.padic._gamma_tables(p, precision)
+    assert (len(prefix), len(harmonic)) == (block + 1, mod)
     for lo in range(0, pk, block):
-        assert ksum.padic._unit_product(1, lo, lo + block, p, pk) == c, (p, precision, lo)
+        assert unit_product(lo, lo + block, p, pk) == prefix[block], (p, precision, lo)
+    assert list(prefix) == [unit_product(0, r, p, pk) for r in range(block + 1)]
+    inverses = [pow(s, -1, mod) if s % p and mod > 1 else 0 for s in range(mod)]
+    assert list(harmonic) == [sum(inverses[:r]) % mod for r in range(mod)]
 
 
 @pytest.mark.parametrize("p,precision,k,bound", [
-    (101, 4, 101 ** 4 - 5, 2 * 101 ** 2),   # c, then fewer than B: not ~10^8 factors
-    (131071, 1, 5, 6),                       # block 0 never forms c
+    (101, 4, 101 ** 4 - 5, 2 * 101 ** 2),   # one build of B + M entries: not ~10^8 factors
+    (131071, 1, 5, 6),                       # K = 1 walks fewer than p factors, builds none
 ])
-def test_gamma_single_call_cost(p, precision, k, bound, monkeypatch):
-    """A cold call multiplies fewer than `bound` factors through _unit_product."""
-    walked = []
-
-    def counted(acc, lo, hi, p, pk, _real=ksum.padic._unit_product):
-        walked.append(hi - lo)
-        if sum(walked) >= bound:
-            raise AssertionError(f"walked {sum(walked)} factors, bound {bound}")
-        return _real(acc, lo, hi, p, pk)
-
-    monkeypatch.setattr(ksum.padic, "_unit_product", counted)
-    ksum.padic._gamma_block_product.cache_clear()
+def test_gamma_single_call_cost(p, precision, k, bound):
+    """A cold call builds at most one pair of tables, with at most `bound`
+    entries P[r] and H[r] below B and M, besides c = P[B]."""
+    tables = ksum.padic._gamma_tables
+    tables.cache_clear()
     pk = p ** precision
     got = gamma_p(PadicInt(p, precision, k)).residue
     # reflection: Gamma(k) Gamma(1 - k) = (-1)^(k mod p) for a unit k
     assert got * oracle_gamma((1 - k) % pk, p, pk) % pk == (pk - 1 if k % p % 2 else 1)
-    assert sum(walked) < bound
+    assert tables.cache_info().misses == (precision > 1)
+    if precision > 1:
+        prefix, harmonic = tables(p, precision)
+        assert len(prefix) - 1 + len(harmonic) <= bound
+    for extra in (1, 2, pk - 1):
+        gamma_p(PadicInt(p, precision, extra))
+    assert tables.cache_info().misses == (precision > 1)
 
 
 def test_gamma_wilson_value():
