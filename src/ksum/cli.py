@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import kloos
 from .ff import is_prime, make_field
-from .sweeps import CHECKS, JobError, VerificationJob, emit_report, run_verification
+from .sweeps import CHECKS, VerificationJob, emit_report, run_verification
 
 
 class FieldSpecError(ValueError):
@@ -172,10 +172,6 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     p, n, modulus = parse_field_spec(args.field)
-    chosen = [s for s in (args.all, args.a is not None, args.j is not None,
-                          args.sample is not None) if s]
-    if len(chosen) != 1:
-        raise JobError("choose exactly one of --all, --a, --j, --sample")
     if args.all:
         scope: tuple = ("all",)
     elif args.a is not None:
@@ -215,71 +211,61 @@ def _run(job: VerificationJob, args, records: str) -> int:
     return 0 if not report.failures else 1
 
 
-def _add_field_arg(sp) -> None:
-    sp.add_argument("--field", required=True,
-                    help="field spec: p=<int>,n=<int>[,mod=<c0>,<c1>,...]")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksum",
         description="Exact Kloosterman sums, minimal polynomials, and "
                     "p-adic congruence verification over F_{p^n}.")
     sub = parser.add_subparsers(dest="command", required=True)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", required=True,
+                       help="field spec: p=<int>,n=<int>[,mod=<c0>,<c1>,...]")
+    value_format = argparse.ArgumentParser(add_help=False)
+    value_format.add_argument("--format", choices=["summary", "json-lines"], default="summary")
+    sweep_format = argparse.ArgumentParser(add_help=False)
+    sweep_format.add_argument("--format", choices=["summary", "json-lines", "csv"],
+                              default="summary")
 
-    sp = sub.add_parser("kloosterman", help="one Kloosterman sum, exactly")
-    _add_field_arg(sp)
-    sp.add_argument("--a", required=True, help="element coords, constant first")
-    sp.add_argument("--format", choices=["summary", "json-lines"], default="summary")
-    sp.set_defaults(handler=_cmd_kloosterman)
+    for name, cmd_help, a_help, handler in (
+            ("kloosterman", "one Kloosterman sum, exactly", "element coords, constant first",
+             _cmd_kloosterman),
+            ("minpoly", "minimal polynomial of K(a) over Q", None, _cmd_minpoly),
+            ("charpoly", "product of (x - K) over the conjugates", None, _cmd_charpoly)):
+        sp = sub.add_parser(name, help=cmd_help, parents=[field, value_format])
+        sp.add_argument("--a", required=True, help=a_help)
+        sp.set_defaults(handler=handler)
 
-    sp = sub.add_parser("minpoly", help="minimal polynomial of K(a) over Q")
-    _add_field_arg(sp)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--format", choices=["summary", "json-lines"], default="summary")
-    sp.set_defaults(handler=_cmd_minpoly)
-
-    sp = sub.add_parser("charpoly", help="product of (x - K) over the conjugates")
-    _add_field_arg(sp)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--format", choices=["summary", "json-lines"], default="summary")
-    sp.set_defaults(handler=_cmd_charpoly)
-
-    sp = sub.add_parser("gauss", help="Gauss sum in pi-power normal form")
-    _add_field_arg(sp)
+    sp = sub.add_parser("gauss", help="Gauss sum in pi-power normal form",
+                        parents=[field, value_format])
     sp.add_argument("--j", type=int, required=True, help="character index in [1, q-2]")
     sp.add_argument("--precision", type=int, default=3, help="base-p digits")
-    sp.add_argument("--format", choices=["summary", "json-lines"], default="summary")
     sp.set_defaults(handler=_cmd_gauss)
 
-    sp = sub.add_parser("gamma", help="p-adic gamma at an integer or fraction")
+    sp = sub.add_parser("gamma", help="p-adic gamma at an integer or fraction",
+                        parents=[value_format])
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--precision", type=int, default=3)
     sp.add_argument("--x", required=True, help="integer residue or num/den")
-    sp.add_argument("--format", choices=["summary", "json-lines"], default="summary")
     sp.set_defaults(handler=_cmd_gamma)
 
-    sp = sub.add_parser("spectrum", help="value frequencies over the whole field")
-    _add_field_arg(sp)
+    sp = sub.add_parser("spectrum", help="value frequencies over the whole field",
+                        parents=[field, sweep_format])
     sp.add_argument("--jobs", type=int, default=None,
                     help="validated, but the rows are read in one process")
-    sp.add_argument("--format", choices=["summary", "json-lines", "csv"],
-                    default="summary")
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_spectrum)
 
-    sp = sub.add_parser("verify", help="run a congruence check over a scope")
-    _add_field_arg(sp)
+    sp = sub.add_parser("verify", help="run a congruence check over a scope",
+                        parents=[field, sweep_format])
     sp.add_argument("--check", required=True, choices=sorted(CHECKS))
-    sp.add_argument("--all", action="store_true", help="sweep the whole domain")
-    sp.add_argument("--a", default=None, help="single element coords")
-    sp.add_argument("--j", type=int, default=None, help="single Gauss-sum index")
-    sp.add_argument("--sample", type=int, default=None, help="sample this many witnesses")
+    scope = sp.add_mutually_exclusive_group(required=True)
+    scope.add_argument("--all", action="store_true", help="sweep the whole domain")
+    scope.add_argument("--a", default=None, help="single element coords")
+    scope.add_argument("--j", type=int, default=None, help="single Gauss-sum index")
+    scope.add_argument("--sample", type=int, default=None, help="sample this many witnesses")
     sp.add_argument("--seed", type=int, default=0, help="sample seed")
     sp.add_argument("--jobs", type=int, default=None, help="worker processes")
     sp.add_argument("--precision", type=int, default=None, help="base-p digits")
-    sp.add_argument("--format", choices=["summary", "json-lines", "csv"],
-                    default="summary")
     sp.add_argument("--records", choices=["failures", "all"], default="failures",
                     help="json-lines: which cases to emit")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")

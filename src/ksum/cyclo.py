@@ -54,12 +54,6 @@ class CycInt(Value):
         return cls(p, (c,) + (0,) * (p - 2))
 
     @classmethod
-    def zeta_power(cls, p: int, k: int) -> CycInt:
-        buckets = [0] * p
-        buckets[k % p] = 1
-        return cls(p, _reduce(p, buckets))
-
-    @classmethod
     def from_power_counts(cls, p: int, counts: Sequence[int]) -> CycInt:
         """Sum of counts[t] copies of zeta^t for t = 0..p-1."""
         if len(counts) != p:
@@ -149,9 +143,6 @@ class IntPolynomial(Value):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if not isinstance(other, IntPolynomial):

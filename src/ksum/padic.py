@@ -353,7 +353,7 @@ class PiMonomial(Value):
     """pi^e * unit with pi^(p-1) = -p; exponent normalized into [0, p-2].
 
     Multiplicative only: sums of mixed pi-powers have no normal form here,
-    so addition deliberately raises.
+    so it defines no addition.
     """
 
     __slots__ = ("pi_exponent", "unit")
@@ -378,11 +378,6 @@ class PiMonomial(Value):
         if not isinstance(other, PiMonomial):
             return NotImplemented
         return PiMonomial.of(self.pi_exponent + other.pi_exponent, self.unit * other.unit)
-
-    def __add__(self, other):
-        raise TypeError("PiMonomial is multiplicative-only; cannot add pi-powers")
-
-    __radd__ = __add__
 
 
 def teichmuller(uctx: UnramCtx, a: FFElem) -> UnramElem:
@@ -544,8 +539,8 @@ def identity_reports(uctx: UnramCtx, a: FFElem) -> tuple[CongruenceReport, ...]:
     multiplicativity of the Teichmueller lift against the generator.
 
     Lifted powers come from the lift's table teich_powers; teich-mult
-    compares that table's teich(a) * teich(g) with the Frobenius-iterated
-    lift of a * g.
+    compares that table's teich(a) * teich(g) with the one-power lift
+    (`teichmuller`) of a * g.
     """
     field = uctx.field
     if field.p != 3:

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, output discipline."""
 
+import argparse
 import json
 import multiprocessing
 import os
@@ -18,7 +19,7 @@ import ksum.ff
 import ksum.kloos
 import ksum.padic
 import ksum.sweeps
-from ksum.cli import FieldSpecError, main, parse_field_spec
+from ksum.cli import FieldSpecError, build_parser, main, parse_field_spec
 from ksum.ff import FFElem, FieldCtx
 from ksum.kloos import CongruenceReport, InternalCheckError
 from ksum.padic import PadicInt
@@ -98,7 +99,7 @@ def test_spectrum_defect_exit_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
-                            "(check spectrum, --a 0,0)\n")
+                            "(check spectrum, rerun: ksum kloosterman --a 0,0)\n")
     # one bad row at indices 5 = (2, 1) and 7 = (1, 2) only: the witness is
     # the first index that holds it
     real = ksum.kloos._count_row
@@ -110,7 +111,12 @@ def test_spectrum_defect_exit_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
-                            "(check spectrum, --a 2,1)\n")
+                            "(check spectrum, rerun: ksum kloosterman --a 2,1)\n")
+    # the hinted command runs on the unpatched code
+    monkeypatch.undo()
+    hint = captured.err.split("rerun: ksum ")[1].rstrip(")\n")
+    assert main(shlex.split(hint) + ["--field", "p=3,n=2"]) == 0
+    assert capsys.readouterr().out.startswith("a = 2,1\n")
 
 
 @pytest.mark.parametrize("check", ["moisio", "wan"])
@@ -258,11 +264,18 @@ def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--field", "p=4,n=2", "--check", "mod9", "--all"]) == 2
     assert main(["verify", "--field", "p=3", "--check", "mod9", "--all"]) == 2
     assert main(["verify", "--field", "p=3,n=2", "--check", "mod27", "--all"]) == 2
-    assert main(["verify", "--field", "p=3,n=3", "--check", "mod27"]) == 2
-    assert main(["verify", "--field", "p=3,n=3", "--check", "mod27", "--all",
-                 "--a", "1,0,0"]) == 2
     assert main(["kloosterman", "--field", "p=3,n=3", "--a", "1,0"]) == 2
     capsys.readouterr()
+    # argparse enforces exactly one scope, so these stop in parse_args
+    for scopes, message in (
+            ([], "one of the arguments --all --a --j --sample is required"),
+            (["--all", "--a", "1,0,0"], "argument --a: not allowed with argument --all")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--field", "p=3,n=3", "--check", "mod27"] + scopes)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"ksum verify: error: {message}\n")
 
 
 def test_thm1_rejects_ternary_prime_field(capsys):
@@ -278,6 +291,68 @@ def test_unknown_check_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--field", "p=3,n=3", "--check", "bogus", "--all"])
     assert exc.value.code == 2
+
+
+# Each subcommand's options as the parser had them before its shared flags
+# moved to parent parsers: option -> (choices, default, required, type, help).
+_FIELD = {"--field": (None, None, True, None,
+                      "field spec: p=<int>,n=<int>[,mod=<c0>,<c1>,...]")}
+_VALUE_FORMAT = {"--format": (["summary", "json-lines"], "summary", False, None, None)}
+_SWEEP_FORMAT = {"--format": (["summary", "json-lines", "csv"], "summary", False, None, None)}
+PARSER_OPTIONS = {
+    "kloosterman": {**_FIELD, **_VALUE_FORMAT,
+                    "--a": (None, None, True, None, "element coords, constant first")},
+    "minpoly": {**_FIELD, **_VALUE_FORMAT, "--a": (None, None, True, None, None)},
+    "charpoly": {**_FIELD, **_VALUE_FORMAT, "--a": (None, None, True, None, None)},
+    "gauss": {**_FIELD, **_VALUE_FORMAT,
+              "--j": (None, None, True, int, "character index in [1, q-2]"),
+              "--precision": (None, 3, False, int, "base-p digits")},
+    "gamma": {**_VALUE_FORMAT,
+              "--p": (None, None, True, int, None),
+              "--precision": (None, 3, False, int, None),
+              "--x": (None, None, True, None, "integer residue or num/den")},
+    "spectrum": {**_FIELD, **_SWEEP_FORMAT,
+                 "--jobs": (None, None, False, int,
+                            "validated, but the rows are read in one process"),
+                 "--out": (None, None, False, None, None)},
+    "verify": {**_FIELD, **_SWEEP_FORMAT,
+               "--check": (["fourier", "identities", "mod27", "mod9", "moisio", "spectrum",
+                            "stickelberger", "thm1", "wan", "weil", "wt1"],
+                           None, True, None, None),
+               "--all": (None, False, False, None, "sweep the whole domain"),
+               "--a": (None, None, False, None, "single element coords"),
+               "--j": (None, None, False, int, "single Gauss-sum index"),
+               "--sample": (None, None, False, int, "sample this many witnesses"),
+               "--seed": (None, 0, False, int, "sample seed"),
+               "--jobs": (None, None, False, int, "worker processes"),
+               "--precision": (None, None, False, int, "base-p digits"),
+               "--records": (["failures", "all"], "failures", False, None,
+                             "json-lines: which cases to emit"),
+               "--out": (None, None, False, None, "write the report here instead of stdout")},
+}
+
+
+def test_parser_keeps_every_option():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(PARSER_OPTIONS)
+    for name, sp in sub.choices.items():
+        got = {}
+        for action in sp._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (opt,) = action.option_strings
+            assert action.dest == opt[2:]
+            got[opt] = (action.choices, action.default, action.required,
+                        action.type, action.help)
+        assert got == PARSER_OPTIONS[name], name
+        groups = [[a.option_strings for a in g._group_actions]
+                  for g in sp._mutually_exclusive_groups]
+        if name == "verify":
+            assert groups == [[["--all"], ["--a"], ["--j"], ["--sample"]]]
+            assert sp._mutually_exclusive_groups[0].required
+        else:
+            assert groups == []
 
 
 # --------------------------------------------------------- single values
