@@ -3,11 +3,13 @@
 A subclass names its fields in `__slots__`, in the order its `__init__`
 takes them, and sets them there with `object.__setattr__`.  Its instances
 are then equal when of the same class with equal field tuples, hash as
-that tuple, and print as `Name(field=value, ...)`.  Assigning or deleting
-a field raises AttributeError.  A pickle rebuilds an instance through its
-constructor, since a frozen one cannot take its state by assignment; the
-constructor's checks run again on the way in.  A slot named `__dict__`
-makes room for `functools.cached_property` and is not a field.
+that tuple, and print as `Name(field=value, ...)`.  Every value type is
+frozen: assigning or deleting a field raises AttributeError.  A sweep
+report holds lists and a dict, so hashing one raises TypeError.  A pickle
+rebuilds an instance through its constructor, since a frozen one cannot
+take its state by assignment; the constructor's checks run again on the
+way in.  A slot named `__dict__` makes room for
+`functools.cached_property` and is not a field.
 
 The standard library's record generator would give the same methods, but
 importing it loads `inspect` and its dependencies, and it compiles each

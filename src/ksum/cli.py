@@ -67,13 +67,8 @@ def _parse_element(text: str) -> tuple[int, ...]:
             f"element {text!r}: expected comma-separated integers") from None
 
 
-def _field_from_args(args) -> tuple:
-    p, n, modulus = parse_field_spec(args.field)
-    return make_field(p, n, modulus)
-
-
 def _element_from_args(args) -> tuple:
-    ctx = _field_from_args(args)
+    ctx = make_field(*parse_field_spec(args.field))
     return ctx, ctx.element(_parse_element(args.a))
 
 
@@ -125,7 +120,7 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_gauss(args) -> int:
     from . import padic
-    ctx = _field_from_args(args)
+    ctx = make_field(*parse_field_spec(args.field))
     uctx = padic.lift_field(ctx, args.precision)
     values, g = padic._gauss_sum_factors(uctx, args.j)
     wt = padic.p_weight(args.j, ctx.p)
@@ -152,7 +147,10 @@ def _cmd_gamma(args) -> int:
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"p must be an odd prime, got {args.p}")
     num, slash, den = args.x.partition("/")
-    num, den = int(num), int(den) if slash else 1
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"x {args.x!r}: expected an integer or num/den") from None
     if den == 0:
         raise ValueError("zero denominator")
     frac = Fraction(num, den)
@@ -225,26 +223,27 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_format = argparse.ArgumentParser(add_help=False)
     sweep_format.add_argument("--format", choices=["summary", "json-lines", "csv"],
                               default="summary")
+    sweep_format.add_argument("--out", default=None,
+                              help="write the report here instead of stdout")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, default=3, help="base-p digits")
 
-    for name, cmd_help, a_help, handler in (
-            ("kloosterman", "one Kloosterman sum, exactly", "element coords, constant first",
-             _cmd_kloosterman),
-            ("minpoly", "minimal polynomial of K(a) over Q", None, _cmd_minpoly),
-            ("charpoly", "product of (x - K) over the conjugates", None, _cmd_charpoly)):
+    for name, cmd_help, handler in (
+            ("kloosterman", "one Kloosterman sum, exactly", _cmd_kloosterman),
+            ("minpoly", "minimal polynomial of K(a) over Q", _cmd_minpoly),
+            ("charpoly", "product of (x - K) over the conjugates", _cmd_charpoly)):
         sp = sub.add_parser(name, help=cmd_help, parents=[field, value_format])
-        sp.add_argument("--a", required=True, help=a_help)
+        sp.add_argument("--a", required=True, help="element coords, constant first")
         sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("gauss", help="Gauss sum in pi-power normal form",
-                        parents=[field, value_format])
+                        parents=[field, value_format, precision])
     sp.add_argument("--j", type=int, required=True, help="character index in [1, q-2]")
-    sp.add_argument("--precision", type=int, default=3, help="base-p digits")
     sp.set_defaults(handler=_cmd_gauss)
 
     sp = sub.add_parser("gamma", help="p-adic gamma at an integer or fraction",
-                        parents=[value_format])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=3)
+                        parents=[value_format, precision])
+    sp.add_argument("--p", type=int, required=True, help="odd prime")
     sp.add_argument("--x", required=True, help="integer residue or num/den")
     sp.set_defaults(handler=_cmd_gamma)
 
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                         parents=[field, sweep_format])
     sp.add_argument("--jobs", type=int, default=None,
                     help="validated, but the rows are read in one process")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_spectrum)
 
     sp = sub.add_parser("verify", help="run a congruence check over a scope",
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--precision", type=int, default=None, help="base-p digits")
     sp.add_argument("--records", choices=["failures", "all"], default="failures",
                     help="json-lines: which cases to emit")
-    sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.set_defaults(handler=_cmd_verify)
     return parser
 

@@ -228,11 +228,6 @@ class UnramCtx:
     def from_int(self, c: int) -> UnramElem:
         return UnramElem(self, (c % self.pk,) + (0,) * (self.n - 1))
 
-    def from_padic(self, x: PadicInt) -> UnramElem:
-        if (x.p, x.precision) != (self.p, self.precision):
-            raise ValueError("mismatched p-adic precision")
-        return self.from_int(x.residue)
-
     def element(self, coords: Sequence[int]) -> UnramElem:
         if len(coords) != self.n:
             raise ValueError(f"need {self.n} coordinates")
@@ -277,10 +272,9 @@ class UnramCtx:
         dropped on that computed value, never on the weight law, so the
         Fourier sum over this support is the full sum.
         """
-        n = self.n
-        # weight 1: 3^i; weight 2: 3^i + 3^k with i <= k (2 * 3^i at i = k)
-        js = sorted([3 ** i for i in range(n)]
-                    + [3 ** i + 3 ** k for k in range(n) for i in range(k + 1)])
+        # weight 1 (W): 3^i; weight 2 (X): 3^i + 3^k with i <= k
+        js = sorted(build_subset(self.field, "W").exponents
+                    + build_subset(self.field, "X").exponents)
         squares = ((j, gauss_square_mod27(self, j).residue) for j in js)
         return tuple((j, c) for j, c in squares if c)
 
@@ -430,7 +424,7 @@ def _gauss_sum_factors(uctx: UnramCtx, j: int) -> tuple[tuple[PadicInt, ...], Pi
     if not 1 <= j <= q - 2:
         raise ValueError(f"character index {j} outside [1, {q - 2}]")
     gammas = _gamma_values(uctx, j)
-    unit = uctx.from_padic(reduce(operator.mul, gammas))
+    unit = uctx.from_int(reduce(operator.mul, gammas).residue)
     return gammas, PiMonomial.of(p_weight(j, uctx.p), unit)
 
 

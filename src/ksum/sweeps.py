@@ -69,21 +69,16 @@ class VerificationJob(Value):
 
 
 class SweepReport(Value):
-    """The outcome of one job; unlike the other values, its fields can be reassigned."""
-
     __slots__ = ("job", "total", "cases", "failures", "histogram", "wall_time")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, job: dict, total: int, cases: list[CongruenceReport],
                  failures: list[CongruenceReport], histogram: Optional[dict], wall_time: float):
-        self.job = job
-        self.total = total
-        self.cases = cases
-        self.failures = failures
-        self.histogram = histogram
-        self.wall_time = wall_time
+        object.__setattr__(self, "job", job)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "histogram", histogram)
+        object.__setattr__(self, "wall_time", wall_time)
 
 
 class CheckDef(Value):
@@ -342,12 +337,6 @@ def _report_dict(r: CongruenceReport) -> dict:
     }
 
 
-def _histogram_json(histogram: Optional[dict]) -> Optional[dict]:
-    if histogram is None:
-        return None
-    return {str(k): v for k, v in histogram.items()}
-
-
 def emit_report(report: SweepReport, fmt: str, stream: TextIO,
                 records: str = "failures") -> None:
     """Write a sweep report; formats are json-lines, csv, and summary.
@@ -359,12 +348,15 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
         rows = report.cases if records == "all" else report.failures
         for r in rows:
             stream.write(json.dumps(_report_dict(r)) + "\n")
+        histogram = report.histogram
+        if histogram is not None:
+            histogram = {str(k): v for k, v in histogram.items()}
         summary = {
             "type": "summary",
             **report.job,
             "total": report.total,
             "failures": len(report.failures),
-            "histogram": _histogram_json(report.histogram),
+            "histogram": histogram,
         }
         stream.write(json.dumps(summary) + "\n")
     elif fmt == "csv":

@@ -293,28 +293,30 @@ def test_unknown_check_rejected_by_argparse():
     assert exc.value.code == 2
 
 
-# Each subcommand's options as the parser had them before its shared flags
-# moved to parent parsers: option -> (choices, default, required, type, help).
+# Each subcommand's options, written out in full so that moving a flag into
+# a parent parser cannot drop, rename or re-default it:
+# option -> (choices, default, required, type, help).
 _FIELD = {"--field": (None, None, True, None,
                       "field spec: p=<int>,n=<int>[,mod=<c0>,<c1>,...]")}
+_ELEMENT = {"--a": (None, None, True, None, "element coords, constant first")}
 _VALUE_FORMAT = {"--format": (["summary", "json-lines"], "summary", False, None, None)}
 _SWEEP_FORMAT = {"--format": (["summary", "json-lines", "csv"], "summary", False, None, None)}
 PARSER_OPTIONS = {
-    "kloosterman": {**_FIELD, **_VALUE_FORMAT,
-                    "--a": (None, None, True, None, "element coords, constant first")},
-    "minpoly": {**_FIELD, **_VALUE_FORMAT, "--a": (None, None, True, None, None)},
-    "charpoly": {**_FIELD, **_VALUE_FORMAT, "--a": (None, None, True, None, None)},
+    "kloosterman": {**_FIELD, **_VALUE_FORMAT, **_ELEMENT},
+    "minpoly": {**_FIELD, **_VALUE_FORMAT, **_ELEMENT},
+    "charpoly": {**_FIELD, **_VALUE_FORMAT, **_ELEMENT},
     "gauss": {**_FIELD, **_VALUE_FORMAT,
               "--j": (None, None, True, int, "character index in [1, q-2]"),
               "--precision": (None, 3, False, int, "base-p digits")},
     "gamma": {**_VALUE_FORMAT,
-              "--p": (None, None, True, int, None),
-              "--precision": (None, 3, False, int, None),
+              "--p": (None, None, True, int, "odd prime"),
+              "--precision": (None, 3, False, int, "base-p digits"),
               "--x": (None, None, True, None, "integer residue or num/den")},
     "spectrum": {**_FIELD, **_SWEEP_FORMAT,
                  "--jobs": (None, None, False, int,
                             "validated, but the rows are read in one process"),
-                 "--out": (None, None, False, None, None)},
+                 "--out": (None, None, False, None,
+                           "write the report here instead of stdout")},
     "verify": {**_FIELD, **_SWEEP_FORMAT,
                "--check": (["fourier", "identities", "mod27", "mod9", "moisio", "spectrum",
                             "stickelberger", "thm1", "wan", "weil", "wt1"],
@@ -400,6 +402,14 @@ def test_gamma_zero_denominator_exit_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: zero denominator\n"
+
+
+@pytest.mark.parametrize("x", ["abc", "1/y"])
+def test_gamma_names_an_unparsable_argument(capsys, x):
+    assert main(["gamma", "--p", "3", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: x '{x}': expected an integer or num/den\n"
 
 
 def test_gamma_rejects_precision_below_one(capsys):
@@ -898,6 +908,16 @@ def test_a_run_imports_only_what_its_command_uses(argv, loaded):
                           capture_output=True, text=True, env=_src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == loaded
+
+
+def test_import_ksum_loads_no_submodule():
+    # the package resolves its exports on first attribute access
+    script = ("import json, sys, ksum; print(json.dumps(sorted("
+              "m for m in sys.modules if m.split('.')[0] == 'ksum')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=_src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["ksum"]
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -173,6 +173,16 @@ def test_mod27_exhaustive(n):
         assert rep.modulus == 27
 
 
+def test_mod27_closed_form_matches_table_on_all_of_f3_cubed():
+    # check_mod27 compares K(a) with both forms, so they must agree at every
+    # (t, x, y), not only at the triples some field's elements reach
+    for t in range(3):
+        for x in range(3):
+            for y in range(3):
+                closed = (21 * t ** 3 + 18 * t + 18 * x + 9 * t * x + 9 * y) % 27
+                assert closed == ksum.kloos._table27(t, x, y), (t, x, y)
+
+
 def test_mod27_requires_depth(f9):
     with pytest.raises(Exception):
         check_mod27(f9, f9.one())

@@ -70,12 +70,11 @@ def test_value_semantics_and_pickle(x):
     assert type(y) is type(x) and y == x and y is not x
     assert [getattr(y, f) for f in fields] == [getattr(x, f) for f in fields]
     if type(x) is SweepReport:
+        # its list and dict fields make it unhashable, not mutable
         with pytest.raises(TypeError, match="unhashable"):
             hash(x)
-        y.total += 1
-        assert y.total == x.total + 1 and y != x
-        return
-    assert hash(y) == hash(x)
+    else:
+        assert hash(y) == hash(x)
     for f in fields:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
             setattr(x, f, None)
