@@ -345,8 +345,7 @@ class FieldCtx:
         return FFElem(_powmod(x.coeffs, self.p, self.modulus, self.p))
 
     def trace(self, x: FFElem) -> int:
-        basis = self._trace_basis
-        return sum(c * t for c, t in zip(x.coeffs, basis)) % self.p
+        return sum(map(operator.mul, x.coeffs, self._trace_basis)) % self.p
 
     @cached_property
     def _trace_basis(self) -> tuple[int, ...]:

@@ -317,24 +317,68 @@ def run_verification(job: VerificationJob) -> SweepReport:
                        histogram, time.perf_counter() - t0)
 
 
-def _jsonable(v):
+def _ffelem_coeffs(v):
     if isinstance(v, FFElem):
-        return list(v.coeffs)
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+        return v.coeffs
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _report_dict(r: CongruenceReport) -> dict:
-    return {
-        "type": "case",
-        "subject": r.subject,
-        "witness": _jsonable(r.witness),
-        "lhs": _jsonable(r.lhs),
-        "rhs": _jsonable(r.rhs),
-        "modulus": r.modulus,
-        "pass": r.passed,
-    }
+# json.dumps's encoder, with field elements written as their coefficient lists
+_ENCODER = json.JSONEncoder(default=_ffelem_coeffs)
+_BATCH = 256       # lines per write
+
+
+def _write_cases(stream: TextIO, rows: Sequence[CongruenceReport],
+                 payload: Callable[[CongruenceReport], tuple[str, str]],
+                 witness: Callable[[object], str]) -> None:
+    """Write one line per case: its payload's head, its witness, its payload's tail.
+
+    The orbit fan-out in `run_verification` hands each member the subject,
+    lhs, rhs, modulus and verdict objects of its representative's report,
+    so a payload is keyed by the identity of those five objects, never by
+    value (1 == True, yet they render apart).  `payload` renders a head
+    and tail the first time their key is seen, so memory grows with
+    distinct payloads, not with cases.  The reports of one evaluation
+    share their witness object, so a witness is rendered once for a run of
+    cases that hold it.  Lines go out `_BATCH` at a time.
+    """
+    parts: dict[tuple[int, ...], tuple[str, str]] = {}
+    out: list[str] = []
+    last, text = object(), ""      # no report holds this witness
+    for r in rows:
+        key = (id(r.subject), id(r.lhs), id(r.rhs), id(r.modulus), id(r.passed))
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = payload(r)
+        if r.witness is not last:
+            last = r.witness
+            text = witness(last)
+        out += part[0], text, part[1]
+        if len(out) >= 3 * _BATCH:
+            stream.write("".join(out))
+            out.clear()
+    if out:
+        stream.write("".join(out))
+
+
+def _json_payload(r: CongruenceReport) -> tuple[str, str]:
+    tail = {"lhs": r.lhs, "rhs": r.rhs, "modulus": r.modulus, "pass": r.passed}
+    return ('{"type": "case", "subject": ' + _ENCODER.encode(r.subject) + ', "witness": ',
+            ", " + _ENCODER.encode(tail)[1:] + "\n")
+
+
+def _json_witness(w) -> str:
+    if type(w) is FFElem:
+        return "[" + ", ".join(map(str, w.coeffs)) + "]"
+    if type(w) is int:
+        return str(w)
+    return _ENCODER.encode(w)
+
+
+def _csv_payload(r: CongruenceReport) -> tuple[str, str]:
+    modulus = "" if r.modulus is None else str(r.modulus)
+    return (r.subject + ",",
+            f",{_csv_cell(r.lhs)},{_csv_cell(r.rhs)},{modulus},{str(r.passed).lower()}\n")
 
 
 def emit_report(report: SweepReport, fmt: str, stream: TextIO,
@@ -346,8 +390,7 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
     """
     if fmt == "json-lines":
         rows = report.cases if records == "all" else report.failures
-        for r in rows:
-            stream.write(json.dumps(_report_dict(r)) + "\n")
+        _write_cases(stream, rows, _json_payload, _json_witness)
         histogram = report.histogram
         if histogram is not None:
             histogram = {str(k): v for k, v in histogram.items()}
@@ -361,11 +404,7 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
         stream.write(json.dumps(summary) + "\n")
     elif fmt == "csv":
         stream.write("subject,witness,lhs,rhs,modulus,pass\n")
-        for r in report.cases:
-            row = [r.subject, _csv_cell(r.witness), _csv_cell(r.lhs),
-                   _csv_cell(r.rhs), "" if r.modulus is None else str(r.modulus),
-                   str(r.passed).lower()]
-            stream.write(",".join(row) + "\n")
+        _write_cases(stream, report.cases, _csv_payload, _csv_cell)
     elif fmt == "summary":
         for r in report.failures:
             stream.write(
@@ -382,5 +421,6 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
 
 
 def _csv_cell(v) -> str:
-    v = _jsonable(v)
-    return ":".join(map(str, v)) if isinstance(v, list) else str(v)
+    if isinstance(v, FFElem):
+        v = v.coeffs
+    return ":".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v)

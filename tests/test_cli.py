@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, output discipline."""
 
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -674,6 +675,20 @@ def test_jobs_flag_does_not_change_stdout(capsys):
         assert main(args + ["--jobs", jobs]) == 0
         second = capsys.readouterr().out
         assert first == second, args
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["verify", "--field", "p=3,n=7", "--check", "mod27", "--all", "--format", "json-lines",
+      "--records", "all", "--jobs", "1"],
+     "bc61b6b6b47f66452711ca986aee7750d2ac94ffcb0e288aef82c56b6bcddcbf"),
+    (["verify", "--field", "p=5,n=3", "--check", "moisio", "--all", "--format", "csv",
+      "--jobs", "1"],
+     "eb8b53f6d80ff8574b0169f4559849d6872d8c1c5bdab51c91cf4f0fcd6f489d"),
+], ids=["mod27-json-lines", "moisio-csv"])
+def test_orbit_sweep_stdout_is_pinned(argv, digest, capsys):
+    # sha256 of stdout as written when every case was rendered on its own
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -815,6 +815,16 @@ def test_trace_matches_oracle_exhaustive(f27, f25):
             assert ctx.trace(a) == oracle_trace(ctx, a)
 
 
+@pytest.mark.parametrize("p,n,modulus", [(3, 5, None), (5, 3, None), (7, 2, None),
+                                         (11, 2, None), (3, 3, (1, 0, 2, 1))])
+def test_trace_matches_basis_dot_product(p, n, modulus):
+    # the generator expression `trace` used before it mapped operator.mul
+    ctx = make_field(p, n, modulus)
+    basis = ctx._trace_basis
+    for a in ctx.elements():
+        assert ctx.trace(a) == sum(c * t for c, t in zip(a.coeffs, basis)) % p
+
+
 def frobenius_trace_basis(ctx):
     """Trace of each basis monomial, as the sum of its n Frobenius powers."""
     out = []

@@ -13,7 +13,7 @@ import ksum.kloos
 from ksum import padic
 from ksum.cyclo import CycInt
 from ksum.cli import main
-from ksum.ff import _orbit_leaders, make_field
+from ksum.ff import FFElem, _orbit_leaders, make_field
 from ksum.kloos import CongruenceReport, InternalCheckError
 from ksum.sweeps import (CHECKS, CheckDef, JobError, SweepReport, VerificationJob,
                          emit_report, run_verification)
@@ -415,6 +415,107 @@ def test_check_functions_refuse_unsupported_fields(call, message):
     # CHECKS refuses these fields first, so only a direct call reaches the guards
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# ------------------------------------------- shared-payload emission
+
+def _oracle_jsonable(v):
+    if isinstance(v, FFElem):
+        return list(v.coeffs)
+    if isinstance(v, tuple):
+        return list(v)
+    return v
+
+
+def _oracle_cell(v) -> str:
+    v = _oracle_jsonable(v)
+    return ":".join(map(str, v)) if isinstance(v, list) else str(v)
+
+
+def oracle_emit(report, fmt, records="all") -> str:
+    """The report as written when each case was rendered on its own."""
+    lines = []
+    if fmt == "json-lines":
+        for r in report.cases if records == "all" else report.failures:
+            lines.append(json.dumps({
+                "type": "case", "subject": r.subject, "witness": _oracle_jsonable(r.witness),
+                "lhs": _oracle_jsonable(r.lhs), "rhs": _oracle_jsonable(r.rhs),
+                "modulus": r.modulus, "pass": r.passed}))
+        histogram = report.histogram
+        if histogram is not None:
+            histogram = {str(k): v for k, v in histogram.items()}
+        lines.append(json.dumps({"type": "summary", **report.job, "total": report.total,
+                                 "failures": len(report.failures), "histogram": histogram}))
+    elif fmt == "csv":
+        lines.append("subject,witness,lhs,rhs,modulus,pass")
+        for r in report.cases:
+            lines.append(",".join([
+                r.subject, _oracle_cell(r.witness), _oracle_cell(r.lhs), _oracle_cell(r.rhs),
+                "" if r.modulus is None else str(r.modulus), str(r.passed).lower()]))
+    else:
+        for r in report.failures:
+            lines.append(f"FAIL {r.subject} witness={_oracle_cell(r.witness)} "
+                         f"lhs={_oracle_cell(r.lhs)} rhs={_oracle_cell(r.rhs)}")
+        for k, v in (report.histogram or {}).items():
+            lines.append(f"count[{_oracle_cell(k)}] = {v}")
+        tail = "" if not report.failures else f" failures={len(report.failures)}"
+        lines.append(f"{'FAIL' if report.failures else 'PASS'} total={report.total}{tail}")
+    return "".join(line + "\n" for line in lines)
+
+
+EMISSIONS = [("json-lines", "all"), ("json-lines", "failures"), ("csv", "all"),
+             ("summary", "failures")]
+
+
+def assert_emits_as_oracle(report):
+    for fmt, records in EMISSIONS:
+        buf = io.StringIO()
+        emit_report(report, fmt, buf, records=records)
+        got, want = buf.getvalue(), oracle_emit(report, fmt, records)
+        if got != want:
+            # name the first differing line: a diff of two whole reports is slow
+            pairs = enumerate(zip(got.splitlines(True), want.splitlines(True)))
+            first = next(((i, g, w) for i, (g, w) in pairs if g != w), None)
+            pytest.fail(f"{fmt} records={records}: first difference {first}")
+
+
+@pytest.mark.parametrize("check,p,n", [
+    (check, p, n) for p, n in [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (11, 2)]
+    for check, cd in CHECKS.items() if cd.p in (None, p) and n >= cd.min_n])
+def test_emission_matches_per_case_rendering(check, p, n):
+    assert_emits_as_oracle(run_verification(VerificationJob(p, n, check, jobs=1)))
+
+
+def test_emission_keys_payloads_by_identity():
+    elem = FFElem((2, 0, 1))
+    pair, equal_pair = tuple([1, 2]), tuple([1, 2])
+    assert pair == equal_pair and pair is not equal_pair
+    # a verdict True next to 1, an lhs True next to 1, two subjects that
+    # share every other object, a first witness None, and failing cases
+    cases = [CongruenceReport("weil", 9, 108, None, True, None),
+             CongruenceReport("mod27", pair, pair, 27, True, elem),
+             CongruenceReport("mod27", equal_pair, equal_pair, 27, True, 5),
+             CongruenceReport("mod27", 1, 1, 27, True, elem),
+             CongruenceReport("mod27", True, 1, 27, True, elem),
+             CongruenceReport("mod9", 1, 1, 27, True, elem),
+             CongruenceReport("mod27", True, 1, 27, 1, 7),
+             CongruenceReport("spectrum/checksum", 81, 81, None, True, "sum-over-field"),
+             CongruenceReport("weil", 9, 108, None, True, FFElem((0, 0, 0))),
+             CongruenceReport("mod27", 3, 6, 27, False, FFElem((1, 1, 1)))]
+    # an orbit fan-out: members hold their representative's payload objects
+    rep = CongruenceReport("mod27", tuple([4, 5]), tuple([4, 6]), 9, False, elem)
+    cases += [rep] + [CongruenceReport(rep.subject, rep.lhs, rep.rhs, rep.modulus,
+                                       rep.passed, w) for w in (8, elem, "x")]
+    report = SweepReport({"check": "mod27"}, len(cases), cases,
+                         [r for r in cases if not r.passed], {0: 3, 9: 1}, 0.0)
+    assert_emits_as_oracle(report)
+    buf = io.StringIO()
+    emit_report(report, "json-lines", buf, records="all")
+    lines = buf.getvalue().splitlines()
+    assert lines[0].startswith('{"type": "case", "subject": "weil", "witness": null, ')
+    assert lines[4] == ('{"type": "case", "subject": "mod27", "witness": [2, 0, 1], '
+                        '"lhs": true, "rhs": 1, "modulus": 27, "pass": true}')
+    assert lines[6].endswith('"witness": 7, "lhs": true, "rhs": 1, "modulus": 27, "pass": 1}')
 
 
 # ------------------------------------------- tuple-valued cells
