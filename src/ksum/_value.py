@@ -1,14 +1,18 @@
 """The base of ksum's value types: frozen, slotted records.
 
-A subclass names its fields in `__slots__`, in the order its `__init__`
-takes them, and sets them there with `object.__setattr__`.  Its instances
-are then equal when of the same class with equal field tuples, hash as
-that tuple, and print as `Name(field=value, ...)`.  Every value type is
-frozen: assigning or deleting a field raises AttributeError.  A sweep
-report holds lists and a dict, so hashing one raises TypeError.  A pickle
-rebuilds an instance through its constructor, since a frozen one cannot
-take its state by assignment; the constructor's checks run again on the
-way in.  A slot named `__dict__` makes room for
+A subclass names its fields in `__slots__`, in the order its constructor
+takes them.  The base class builds instances from that list: `Value(*values,
+**named)` sets the fields from positional arguments in order, then from
+keywords by field name, and a missing, extra, unknown or repeated field
+raises TypeError.  A subclass that checks or normalises its arguments does
+so in its own `__init__`, then calls `super().__init__` with the fields.
+Its instances are then equal when of the same class with equal field
+tuples, hash as that tuple, and print as `Name(field=value, ...)`.  Every
+value type is frozen: assigning or deleting a field raises AttributeError.
+A sweep report holds lists and a dict, so hashing one raises TypeError.  A
+pickle rebuilds an instance through its constructor, since a frozen one
+cannot take its state by assignment; the constructor's checks run again on
+the way in.  A slot named `__dict__` makes room for
 `functools.cached_property` and is not a field.
 
 The standard library's record generator would give the same methods, but
@@ -25,14 +29,37 @@ from operator import attrgetter
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         get = attrgetter(*fields)
         cls._fields = fields
+        # each field's slot store, called as put(self, value); it bypasses
+        # the __setattr__ that keeps instances frozen
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in fields)
         # the field tuple of an instance, called as self._values(self)
         cls._values = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *values, **named) -> None:
+        setters = self._setters
+        if named or len(values) != len(setters):
+            values = self._arrange(values, named)
+        for i, put in enumerate(setters):
+            put(self, values[i])
+
+    def _arrange(self, values: tuple, named: dict) -> list:
+        """The field values in slot order, from positional then keyword arguments."""
+        fields = self._fields
+        given = dict(zip(fields, values))
+        if (len(values) > len(fields) or not given.keys().isdisjoint(named)
+                or {*given, *named} != set(fields)):
+            raise TypeError(
+                f"{type(self).__qualname__} takes the fields ({', '.join(fields)}), got "
+                f"{len(values)} positional and {', '.join(named) or 'no'} named")
+        given.update(named)
+        return [given[name] for name in fields]
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:

@@ -38,8 +38,7 @@ class CycInt(Value):
     def __init__(self, p: int, coords: tuple[int, ...]):
         if len(coords) != p - 1:
             raise ValueError(f"need {p - 1} coordinates for p={p}, got {len(coords)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", coords)
+        super().__init__(p, coords)
 
     @classmethod
     def zero(cls, p: int) -> CycInt:
@@ -134,7 +133,7 @@ class IntPolynomial(Value):
         c = tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        super().__init__(c)
 
     @classmethod
     def x_power(cls, t: int) -> IntPolynomial:

@@ -182,9 +182,6 @@ class FFElem(Value):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -212,10 +209,7 @@ class ExponentSet(Value):
             if (s * p) % m not in members:
                 raise FieldError(
                     f"exponent set {kind!r} is not closed under s -> p*s mod q-1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "kind", kind)
+        super().__init__(p, q, exponents, kind)
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, int], ...]:

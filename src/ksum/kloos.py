@@ -31,10 +31,6 @@ class KloostermanValue(Value):
 
     __slots__ = ("counts", "value")
 
-    def __init__(self, counts: tuple[int, ...], value: CycInt):
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "value", value)
-
     def as_int(self) -> Optional[int]:
         return self.value.as_rational()
 
@@ -42,26 +38,12 @@ class KloostermanValue(Value):
 class MinPolyResult(Value):
     __slots__ = ("min_poly", "multiplicity", "char_poly")
 
-    def __init__(self, min_poly: IntPolynomial, multiplicity: int, char_poly: IntPolynomial):
-        object.__setattr__(self, "min_poly", min_poly)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "char_poly", char_poly)
-
 
 class CongruenceReport(Value):
     """One verified relation; passed is True iff lhs equals rhs, except for
     the Weil bound, where it is True iff lhs <= rhs."""
 
     __slots__ = ("subject", "lhs", "rhs", "modulus", "passed", "witness")
-
-    def __init__(self, subject: str, lhs: object, rhs: object, modulus: Optional[int],
-                 passed: bool, witness: object):
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
 
 
 @lru_cache(maxsize=None)
@@ -250,11 +232,15 @@ def check_min_poly_degree(ctx: FieldCtx, a: FFElem) -> CongruenceReport:
 
 
 def check_weil_bound(ctx: FieldCtx, a: FFElem) -> CongruenceReport:
-    """|K(a)| <= 2*sqrt(q) for p = 3, in exact integer form K^2 <= 4q."""
+    """Weil's bound |Kl(a)| <= 2*sqrt(q) for p = 3, in exact integer form.
+
+    K(a) counts x = 0 as well, so Kl(a) = K(a) - 1 and the bound reads
+    (K - 1)^2 <= 4q.
+    """
     if ctx.p != 3:
         raise ValueError("the rational-integer bound check requires p = 3")
     k = _rational_value(ctx, a)
     bound = 4 * ctx.q
-    lhs = k * k
+    lhs = (k - 1) ** 2
     return CongruenceReport("weil", lhs, bound, None, lhs <= bound, a)
 

@@ -34,9 +34,7 @@ class PadicInt(Value):
     def __init__(self, p: int, precision: int, residue: int):
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "residue", residue % p ** precision)
+        super().__init__(p, precision, residue % p ** precision)
 
     @property
     def pk(self) -> int:
@@ -288,10 +286,6 @@ class UnramElem(Value):
 
     __slots__ = ("ctx", "coords")
 
-    def __init__(self, ctx: UnramCtx, coords: tuple[int, ...]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coords", coords)
-
     def _check(self, other: UnramElem) -> None:
         if self.ctx != other.ctx:
             raise ValueError("mixed unramified contexts")
@@ -355,8 +349,7 @@ class PiMonomial(Value):
     def __init__(self, pi_exponent: int, unit: UnramElem):
         if not 0 <= pi_exponent <= unit.ctx.p - 2:
             raise ValueError("pi exponent not normalized")
-        object.__setattr__(self, "pi_exponent", pi_exponent)
-        object.__setattr__(self, "unit", unit)
+        super().__init__(pi_exponent, unit)
 
     @classmethod
     def of(cls, exponent: int, unit: UnramElem) -> PiMonomial:

@@ -59,26 +59,11 @@ class VerificationJob(Value):
     def __init__(self, p: int, n: int, check: str, modulus: Optional[tuple[int, ...]] = None,
                  scope: tuple = ("all",), jobs: Optional[int] = None,
                  precision: Optional[int] = None):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "jobs", jobs)
-        object.__setattr__(self, "precision", precision)
+        super().__init__(p, n, check, modulus, scope, jobs, precision)
 
 
 class SweepReport(Value):
     __slots__ = ("job", "total", "cases", "failures", "histogram", "wall_time")
-
-    def __init__(self, job: dict, total: int, cases: list[CongruenceReport],
-                 failures: list[CongruenceReport], histogram: Optional[dict], wall_time: float):
-        object.__setattr__(self, "job", job)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "histogram", histogram)
-        object.__setattr__(self, "wall_time", wall_time)
 
 
 class CheckDef(Value):
@@ -110,14 +95,7 @@ class CheckDef(Value):
                  histogram: bool = False,     # tally lhs values (residue checks)
                  orbit: bool = False,         # --all evaluates orbit representatives
                  rows: bool = True):          # reads kloos counting rows
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "evaluate", evaluate)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "min_n", min_n)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "histogram", histogram)
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(domain, evaluate, p, min_n, precision, histogram, orbit, rows)
 
 
 def _padic():

@@ -54,6 +54,18 @@ def test_verify_pass_exit_zero(capsys):
     assert out.splitlines()[-1] == "PASS total=27"
 
 
+def test_weil_bound_holds_where_k_squared_exceeds_4q(capsys):
+    # at this n = 13 element K(a) = 2526 > 2*sqrt(q); Kl(a) = K(a) - 1 is in bound
+    args = ["verify", "--field", "p=3,n=13", "--check", "weil",
+            "--a", "0,0,1,2,1,2,0,1,0,0,0,1,0"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS total=1"
+    assert main(args + ["--format", "json-lines", "--records", "all"]) == 0
+    case = json.loads(capsys.readouterr().out.splitlines()[0])
+    # lhs = 2525^2, rhs = 4 * 3^13
+    assert (case["lhs"], case["rhs"], case["pass"]) == (6375625, 6377292, True)
+
+
 def test_verify_failure_exit_one(monkeypatch, capsys):
     def broken(ctx, a):
         return CongruenceReport("mod9", 1, 2, 9, False, str(a))

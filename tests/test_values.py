@@ -85,6 +85,24 @@ def test_value_semantics_and_pickle(x):
     assert pickle.loads(pickle.dumps(x)) == y
 
 
+@pytest.mark.parametrize("x", _instances(), ids=lambda x: type(x).__name__)
+def test_constructor_takes_fields_by_position_or_name(x):
+    cls, fields = type(x), FIELDS[type(x)]
+    values = [getattr(x, f) for f in fields]
+    assert cls(*values) == x
+    assert cls(**dict(zip(fields, values))) == x
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == x
+    bad_calls = [
+        lambda: cls(**dict(zip(fields[1:], values[1:]))),    # first field missing
+        lambda: cls(*values, values[0]),                     # one value too many
+        lambda: cls(*values, not_a_field=1),                 # unknown field
+        lambda: cls(*values, **{fields[0]: values[0]}),      # a field given twice
+    ]
+    for call in bad_calls:
+        with pytest.raises(TypeError, match=cls.__name__):
+            call()
+
+
 def test_reprs_read_as_constructor_calls():
     assert repr(CycInt(3, (1, -2))) == "CycInt(p=3, coords=(1, -2))"
     assert repr(IntPolynomial((1, 0, 2, 0))) == "IntPolynomial(coeffs=(1, 0, 2))"
