@@ -8,7 +8,9 @@ the whole field, one Fourier transform over F_p^n that yields every row at
 once (`_count_table`), on one big integer per trace value with a 32-bit
 count field per element, certified by the second and fourth Kloosterman
 moments (`ksum._kloos_table`, loaded only by whole-field sweeps).
-`_counts_by_index` is the one accessor of both.
+`_counts_by_index` is the one accessor of both.  It caches one row: an
+`--all` sweep reads a row more than once only at index 0, whose
+conjugate family i^2 * 0 reads it (p-1)/2 times in a row.
 Conjugates are obtained by re-summation at scaled arguments; the Galois
 action on coordinates is kept as an independent cross-check rather than
 the computation path.
@@ -46,12 +48,15 @@ class CongruenceReport(Value):
     __slots__ = ("subject", "lhs", "rhs", "modulus", "passed", "witness")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _counts_by_index(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
     """The counting row at element index a_idx: counts[t] = #{x : Tr(1/x + a*x) = t}.
 
     Read from the context's `count_rows` when a sweep has attached them,
-    else counted over the field.
+    else counted over the field.  The cache keeps the last row only: the
+    conjugate family of 0 reads row 0 once per conjugate, one read after
+    another, and an `--all` sweep reads every other row at most once.  A
+    `--sample` at p >= 5 that holds both a and c^2 a counts their rows again.
     """
     if ctx.count_rows is not None:
         return ctx.count_rows[a_idx]

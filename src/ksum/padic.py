@@ -183,39 +183,35 @@ def p_weight(j: int, p: int) -> int:
     return w
 
 
-class UnramCtx:
+class UnramCtx(Value):
     """Z_q mod p^K: the unramified lift of a field context.
 
     Coordinates follow the field's basis; the modulus digits are lifted
-    verbatim, so reduction mod p recovers field elements on the nose.
+    verbatim, so reduction mod p recovers field elements on the nose.  A
+    lift is a value of its field and precision; its tables are caches in
+    the `__dict__` slot, which a pickle does not carry.
     """
+
+    __slots__ = ("field", "precision", "__dict__")
 
     def __init__(self, field: FieldCtx, precision: int):
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        self.field = field
-        self.p = field.p
-        self.n = field.n
-        self.precision = precision
-        self.modulus = field.modulus
+        super().__init__(field, precision)
+
+    @property
+    def p(self) -> int:
+        return self.field.p
+
+    @property
+    def n(self) -> int:
+        return self.field.n
 
     @cached_property
     def pk(self) -> int:
         # formed on first use, so a Gauss-sum check refuses an over-cap
         # precision before it pays for p^K
         return self.p ** self.precision
-
-    def __repr__(self) -> str:
-        return f"UnramCtx(p={self.p}, n={self.n}, precision={self.precision})"
-
-    def _key(self) -> tuple:
-        return (self.field, self.precision)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnramCtx) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def zero(self) -> UnramElem:
         return UnramElem(self, (0,) * self.n)
@@ -324,14 +320,14 @@ class UnramElem(Value):
         if not isinstance(other, UnramElem):
             return NotImplemented
         self._check(other)
-        return UnramElem(self.ctx, _mulmod(self.coords, other.coords, self.ctx.modulus, pk))
+        return UnramElem(self.ctx, _mulmod(self.coords, other.coords, self.ctx.field.modulus, pk))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> UnramElem:
         if e < 0:
             raise ValueError("negative unramified power")
-        return UnramElem(self.ctx, _powmod(self.coords, e, self.ctx.modulus, self.ctx.pk))
+        return UnramElem(self.ctx, _powmod(self.coords, e, self.ctx.field.modulus, self.ctx.pk))
 
     def reduce_mod_p(self) -> FFElem:
         return FFElem(tuple(c % self.ctx.p for c in self.coords))

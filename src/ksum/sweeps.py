@@ -183,8 +183,9 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[Se
         return [j], {"kind": "exponent", "j": j}
     if kind == "sample":
         count, seed = job.scope[1], job.scope[2]
-        if not 0 <= count <= len(pool):
-            raise JobError(f"sample size {count} outside [0, {len(pool)}]")
+        # an empty sample would call no check, and so none of its guards
+        if not 1 <= count <= len(pool):
+            raise JobError(f"sample size {count} outside [1, {len(pool)}]")
         check_table_cap(count, "a --sample scope", JobError)
         import random
         indices = sorted(random.Random(seed).sample(pool, count))
@@ -295,14 +296,6 @@ def run_verification(job: VerificationJob) -> SweepReport:
                        histogram, time.perf_counter() - t0)
 
 
-def _ffelem_coeffs(v):
-    if isinstance(v, FFElem):
-        return v.coeffs
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-# json.dumps's encoder, with field elements written as their coefficient lists
-_ENCODER = json.JSONEncoder(default=_ffelem_coeffs)
 _BATCH = 256       # lines per write
 
 
@@ -341,8 +334,8 @@ def _write_cases(stream: TextIO, rows: Sequence[CongruenceReport],
 
 def _json_payload(r: CongruenceReport) -> tuple[str, str]:
     tail = {"lhs": r.lhs, "rhs": r.rhs, "modulus": r.modulus, "pass": r.passed}
-    return ('{"type": "case", "subject": ' + _ENCODER.encode(r.subject) + ', "witness": ',
-            ", " + _ENCODER.encode(tail)[1:] + "\n")
+    return ('{"type": "case", "subject": ' + json.dumps(r.subject) + ', "witness": ',
+            ", " + json.dumps(tail)[1:] + "\n")
 
 
 def _json_witness(w) -> str:
@@ -350,7 +343,7 @@ def _json_witness(w) -> str:
         return "[" + ", ".join(map(str, w.coeffs)) + "]"
     if type(w) is int:
         return str(w)
-    return _ENCODER.encode(w)
+    return json.dumps(w)
 
 
 def _csv_payload(r: CongruenceReport) -> tuple[str, str]:

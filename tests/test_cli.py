@@ -529,6 +529,29 @@ def test_q_cap_exit_two(argv, refused, capsys):
     assert captured.err == f"error: {refused}, above the cap of 2^21\n"
 
 
+@pytest.mark.parametrize("field,check,extra,size,refused", [
+    # each check's own guard refuses the --all run; an empty sample called no check
+    ("p=3,n=1", "thm1", [], 3, "conjugate-product check at p = 3 requires n > 1"),
+    ("p=3,n=3", "identities", ["--precision", "301"], 27,
+     "identity bundle requires precision <= 300, got 301"),
+    ("p=3,n=3", "stickelberger", ["--precision", "40"], 25,
+     "gamma_p needs p^K <= 2^27, got p^K = 3^40; lower the precision"),
+    ("p=3,n=3", "fourier", ["--precision", "40"], 27,
+     "gamma_p needs p^K <= 2^27, got p^K = 3^40; lower the precision"),
+    ("p=3,n=3", "wt1", ["--precision", "40"], 25,
+     "gamma_p needs p^K <= 2^27, got p^K = 3^40; lower the precision"),
+], ids=["thm1", "identities", "stickelberger", "fourier", "wt1"])
+def test_sample_scope_evaluates_at_least_one_witness(field, check, extra, size, refused,
+                                                     capsys):
+    argv = ["verify", "--field", field, "--check", check, *extra]
+    for scope, message in [(["--sample", "0"], f"sample size 0 outside [1, {size}]"),
+                           (["--sample", "1"], refused), (["--all"], refused)]:
+        assert main(argv + scope) == 2, scope
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_fourier_refuses_q_cap_before_gauss_work(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("Gauss or lift work before the q cap")

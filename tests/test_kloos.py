@@ -109,6 +109,15 @@ def test_min_poly_degree_one_when_orbit_collapses(f25):
     assert res.multiplicity == 2
 
 
+def test_conjugates_of_zero_reuse_one_cached_row():
+    # i^2 * 0 = 0 for i = 1..5: one row counted, then read four times in a row
+    ksum.kloos._counts_by_index.cache_clear()
+    ctx = make_field(11, 3)
+    min_poly(ctx, ctx.zero())
+    info = ksum.kloos._counts_by_index.cache_info()
+    assert (info.hits, info.misses) == (4, 1)
+
+
 @pytest.mark.parametrize("p,n", [
     (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (11, 2),
     (13, 1), (13, 2), (17, 1), (19, 1), (23, 1),

@@ -10,6 +10,8 @@ the K-step Frobenius loop, as an oracle.
 """
 
 import math
+import operator
+import pickle
 import random
 from itertools import islice
 
@@ -243,6 +245,23 @@ def test_unram_mul_and_pow_match_schoolbook(p, n, modulus, precision):
         for e in range(2 * field.q + 1):
             assert (x ** e).coords == power, (x, e)
             power = schoolbook_mulmod(power, x.coords, mod, pk)
+
+
+def test_unram_ops_refuse_mixed_contexts(f27):
+    low, high = lift_field(f27, 3).one(), lift_field(f27, 4).one()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed unramified contexts"):
+            op(low, high)
+    again = lift_field(f27, 3)
+    assert again == low.ctx and again is not low.ctx
+    assert (low * again.one()).coords == low.coords
+
+
+def test_lift_pickles_without_its_tables(f27):
+    uctx = lift_field(f27, 3)
+    uctx.teich_powers
+    copy = pickle.loads(pickle.dumps(uctx))
+    assert copy == uctx and vars(copy) == {} and "teich_powers" in vars(uctx)
 
 
 # ---------------------------------------------------------- teichmuller
@@ -493,7 +512,7 @@ def test_fourier_matches_reference_engine(n, modulus, precision):
 
 
 def _lift_generator_naively(monkeypatch, uctx):
-    monkeypatch.setattr(uctx, "teich_generator",
+    monkeypatch.setitem(vars(uctx), "teich_generator",
                         uctx.element(uctx.field.generator.coeffs))
 
 

@@ -220,6 +220,14 @@ def test_spectrum_reads_one_row_per_orbit(monkeypatch):
     assert read == sorted(read)
 
 
+def test_row_cache_holds_the_one_row_a_sweep_reuses():
+    # 91 representatives read 5 conjugate rows each; only 0's five are one row
+    ksum.kloos._counts_by_index.cache_clear()
+    run_verification(VerificationJob(11, 3, "moisio", jobs=1))
+    info = ksum.kloos._counts_by_index.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 451, 1)
+
+
 def test_custom_modulus_echoed():
     job = VerificationJob(3, 2, "mod9", modulus=(1, 0, 1), jobs=1)
     rep, text = render(job)

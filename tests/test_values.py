@@ -12,7 +12,8 @@ import pytest
 from ksum.cyclo import CycInt, IntPolynomial
 from ksum.ff import ExponentSet, FFElem, build_subset, make_field
 from ksum.kloos import CongruenceReport, KloostermanValue, MinPolyResult, kloosterman, min_poly
-from ksum.padic import PadicInt, PiMonomial, UnramElem, gauss_sum, lift_field, teichmuller
+from ksum.padic import (PadicInt, PiMonomial, UnramCtx, UnramElem, gauss_sum, lift_field,
+                        teichmuller)
 from ksum.sweeps import CHECKS, CheckDef, SweepReport, VerificationJob, run_verification
 
 # every value type, with its fields in constructor order
@@ -28,6 +29,7 @@ FIELDS = {
     SweepReport: ("job", "total", "cases", "failures", "histogram", "wall_time"),
     CheckDef: ("domain", "evaluate", "p", "min_n", "precision", "histogram", "orbit", "rows"),
     PadicInt: ("p", "precision", "residue"),
+    UnramCtx: ("field", "precision"),
     UnramElem: ("ctx", "coords"),
     PiMonomial: ("pi_exponent", "unit"),
 }
@@ -53,6 +55,7 @@ def _instances():
         report,
         CHECKS["spectrum"],
         PadicInt(3, 4, -5),
+        uctx,
         teichmuller(uctx, a),
         gauss_sum(uctx, 4),
     ]
