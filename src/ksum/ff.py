@@ -470,15 +470,15 @@ def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Field
 
 
 def _orbit_leaders(ctx: FieldCtx | ExponentSet, indices: Sequence[int],
-                   exponents: bool = False, squares: bool = False) -> list[int]:
+                   exponents: bool = False) -> list[int]:
     """The least index of each index's orbit, in index order.
 
     Every orbit is one cycle of k -> p*k mod d on an integer key: a Gauss
     index j (`exponents`) is its own key, with d = q-1; an element a != 0
-    has key log a mod d, with d = 2(q-1)/(p-1) under `squares` (a -> c^2 a
-    adds multiples of d to log a) and d = q-1 otherwise; zero is its own
-    orbit.  `indices` is a whole domain in increasing order, so the first
-    index met in an orbit is its least, and it labels its key's cycle.
+    has key log a mod d, with d = 2(q-1)/(p-1), as a -> c^2 a adds
+    multiples of d to log a (at p = 3, d = q-1); zero is its own orbit.
+    `indices` is a whole domain in increasing order, so the first index
+    met in an orbit is its least, and it labels its key's cycle.
     An exponent walk reads only p and q, so an ExponentSet may stand for its
     field; a domain under half the field is labelled in a dict, so the walk
     over a small exponent set allocates nothing of the field's size.
@@ -488,7 +488,7 @@ def _orbit_leaders(ctx: FieldCtx | ExponentSet, indices: Sequence[int],
         d = m
         least = dict.fromkeys(indices) if 2 * len(indices) < ctx.q else [None] * d
     else:
-        log, d = ctx.tables.log, 2 * m // (p - 1) if squares else m
+        log, d = ctx.tables.log, 2 * m // (p - 1)
         least = [None] * d
     leaders = []
     for i in indices:
@@ -503,7 +503,6 @@ def _orbit_leaders(ctx: FieldCtx | ExponentSet, indices: Sequence[int],
     return leaders
 
 
-@lru_cache(maxsize=None)
 def build_subset(ctx: FieldCtx, kind: str) -> ExponentSet:
     """Named exponent families, by base-p digit pattern of the exponent.
 
@@ -511,8 +510,16 @@ def build_subset(ctx: FieldCtx, kind: str) -> ExponentSet:
     X: digit sum 2 (p = 3 only).
     Y: digit sum 3 with three distinct positions (p = 3, n >= 3).
     Z: digit sum 3 as a doubled power plus a distinct power (p = 3).
+
+    A set reads only p and n, so the cache is keyed by them and holds no
+    context, nor the tables and rows a context carries.
     """
-    p, n, q = ctx.p, ctx.n, ctx.q
+    return _named_subset(ctx.p, ctx.n, kind)
+
+
+@lru_cache(maxsize=None)
+def _named_subset(p: int, n: int, kind: str) -> ExponentSet:
+    q = p ** n
     if kind == "W":
         exps = sorted({p ** i for i in range(n)})
     elif kind == "X":

@@ -64,8 +64,9 @@ def _counts_by_index(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
 
 
 def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
-    """One counting row, in O(p * q): the engine of one-witness scopes, and
-    the oracle of `_count_table`."""
+    """One counting row, in one O(q) tally of the trace sums: the engine of
+    one-witness scopes, and the oracle of `_count_table`.  A sum outside
+    [0, 2p-2] is left out, so a corrupt trace table fails the cover check."""
     p, q = ctx.p, ctx.q
     t = ctx.tables
     tr = t.trace_by_log2
@@ -77,9 +78,8 @@ def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
         # x = g^-k: Tr(1/x) + Tr(a*x) = Tr(g^k) + Tr(g^(alpha-k))
         alpha = t.log[a_idx]
         row = list(map(operator.add, tr, tr[alpha + q - 1:alpha:-1]))
-    for s in range(2 * p - 1):
-        c = row.count(s)
-        if c:
+    for s, c in Counter(row).items():
+        if 0 <= s < 2 * p - 1:
             counts[s % p] += c
     if sum(counts) != q:
         raise InternalCheckError("trace counts do not cover the field")

@@ -11,7 +11,8 @@ the report but never written to the output stream for the same reason.
 An `--all` sweep of a check that reads counting rows (`rows`), at n >= 2,
 first attaches every row to the field context, from one transform in
 this process (`kloos._count_table`); workers receive the rows with the
-pickled context.  `spectrum` reads one row per orbit, so it starts no pool.
+pickled context.  `spectrum` tallies that table (at n = 1, each row through
+the accessor) and values each distinct row once, so it starts no pool.
 
 A check flagged `orbit` reports the same values at a and a^p (elements)
 or at j and p*j mod q-1 (Gauss indices).  Its `--all` sweep evaluates
@@ -22,9 +23,8 @@ conjugates of K(a) are sigma_c(K(a)) = K(c^2 a), so a and c^2 a share the
 conjugate family, and Tr(c^2 a) = c^2 Tr(a) keeps both whether the trace
 is zero and its Legendre symbol.  At p = 11, n = 3 `moisio` evaluates 91
 of 1331 elements, where Frobenius orbits alone give 451.  At p = 3 the
-step is the identity; Gauss indices and `spectrum`, whose rows sigma_c
-permutes, keep Frobenius orbits.  `--a`, `--j` and `--sample` evaluate
-exactly the indices they name.
+step is the identity; Gauss indices keep Frobenius orbits.  `--a`, `--j`
+and `--sample` evaluate exactly the indices they name.
 
 The process pool, the p-adic module and `random` are imported on first
 use: the pool when a sweep starts more than one worker, `padic` when a
@@ -196,19 +196,19 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[Se
 def _spectrum_reports(ctx: FieldCtx):
     """Checksum and divisibility reports plus the value histogram.
 
-    Tr(1/x^p + a^p*x^p) = Tr(1/x + a*x), so the row at each orbit's least
-    index stands for the whole orbit.  Each distinct row is valued once, in
-    order of first appearance; the least index holding a row leads its
-    orbit, so a bad row's witness is the first index holding it.
+    The rows are the certified table the sweep attached (n >= 2), or each
+    row through the accessor (n = 1).  `Counter` keeps the distinct rows in
+    order of first appearance, and each is valued once by `kloosterman` at
+    the least index that holds it, which is a bad row's witness.
     """
     p = ctx.p
-    rows: dict[tuple[int, ...], list[int]] = {}     # row -> [first index, count]
-    for a, size in Counter(_orbit_leaders(ctx, range(ctx.q))).items():
-        rows.setdefault(kloos._counts_by_index(ctx, a), [a, 0])[1] += size
+    rows = ctx.count_rows or [kloos._counts_by_index(ctx, a) for a in range(ctx.q)]
     hist: dict = {}
     totals = [0] * p
-    for counts, (idx, mult) in rows.items():
-        value = CycInt.from_power_counts(p, counts)
+    idx = -1
+    for counts, mult in Counter(rows).items():
+        idx = rows.index(counts, idx + 1)      # first appearances increase
+        value = kloos.kloosterman(ctx, ctx.element_at(idx)).value
         key = value.as_rational() if p == 3 else value.coords
         if key is None:
             raise InternalCheckError(
@@ -275,8 +275,7 @@ def run_verification(job: VerificationJob) -> SweepReport:
     else:
         reps = indices
         if cd.orbit and whole:
-            reps = _orbit_leaders(ctx, indices, cd.domain == "exponent",
-                                  squares=cd.domain == "element")
+            reps = _orbit_leaders(ctx, indices, cd.domain == "exponent")
         evaluated = [i for i, r in zip(indices, reps) if i == r]
         workers = min(workers, cpus, len(evaluated))
         evaluate = partial(_evaluate, job.check, ctx, uctx)

@@ -113,12 +113,16 @@ def test_spectrum_defect_exit_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
                             "(check spectrum, rerun: ksum kloosterman --a 0,0)\n")
-    # one bad row at indices 5 = (2, 1) and 7 = (1, 2) only: the witness is
-    # the first index that holds it
-    real = ksum.kloos._count_row
-    monkeypatch.setattr(ksum.kloos, "_counts_by_index",
-                        lambda ctx, k: (ctx.q - 2, 2, 0) if k in (5, 7)
-                        else real(ctx, k))
+    # one bad table row at indices 5 = (2, 1) and 7 = (1, 2) only: the
+    # witness is the first index that holds it
+    monkeypatch.undo()
+    real_table = ksum.kloos._count_table
+
+    def table(ctx):
+        rows = real_table(ctx)
+        rows[5] = rows[7] = (ctx.q - 2, 2, 0)
+        return rows
+    monkeypatch.setattr(ksum.kloos, "_count_table", table)
     rc = main(["spectrum", "--field", "p=3,n=2", "--jobs", "1"])
     assert rc == 3
     captured = capsys.readouterr()
@@ -130,6 +134,16 @@ def test_spectrum_defect_exit_three(monkeypatch, capsys):
     hint = captured.err.split("rerun: ksum ")[1].rstrip(")\n")
     assert main(shlex.split(hint) + ["--field", "p=3,n=2"]) == 0
     assert capsys.readouterr().out.startswith("a = 2,1\n")
+    # at n = 1 no table is built: the bad row comes through the accessor
+    real = ksum.kloos._counts_by_index
+    monkeypatch.setattr(ksum.kloos, "_counts_by_index",
+                        lambda ctx, k: (ctx.q - 2, 2, 0) if k == 2 else real(ctx, k))
+    rc = main(["spectrum", "--field", "p=3,n=1", "--jobs", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: ternary Kloosterman sum is not rational "
+                            "(check spectrum, rerun: ksum kloosterman --a 2)\n")
 
 
 @pytest.mark.parametrize("check", ["moisio", "wan"])

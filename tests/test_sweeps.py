@@ -1,15 +1,18 @@
 """Sweep orchestration: scope handling, determinism, report emission."""
 
+import gc
 import io
 import json
 import multiprocessing
 import os
 import re
 import time
+import weakref
 
 import pytest
 
 import ksum.kloos
+import ksum.sweeps
 from ksum import padic
 from ksum.cyclo import CycInt
 from ksum.cli import main
@@ -199,14 +202,16 @@ def oracle_spectrum(ctx):
                             (3, 4, (1, 1, 1, 1, 1)), (3, 3, (1, 0, 2, 1)),
                             (5, 4, None), (7, 3, None), (13, 2, None), (5, 2, (2, 1, 1))])
 def test_spectrum_matches_per_index_aggregation(p, n, modulus):
-    # spectrum reads one row per Frobenius orbit; the oracle reads every index
+    # spectrum values each distinct table row once; the oracle counts and
+    # values every index's own row
     rep = run_verification(VerificationJob(p, n, "spectrum", modulus=modulus, jobs=1))
     ctx = make_field(p, n, modulus)
     assert (rep.cases, rep.histogram) == oracle_spectrum(ctx)
     assert rep.total == ctx.q
 
 
-def test_spectrum_reads_one_row_per_orbit(monkeypatch):
+@pytest.mark.parametrize("p,n,distinct", [(3, 7, 62), (5, 3, 40)])
+def test_spectrum_reads_least_index_of_each_table_row(p, n, distinct, monkeypatch):
     read = []
     real = ksum.kloos._counts_by_index
 
@@ -215,9 +220,31 @@ def test_spectrum_reads_one_row_per_orbit(monkeypatch):
         return real(ctx, k)
 
     monkeypatch.setattr(ksum.kloos, "_counts_by_index", counted)
-    rep = run_verification(VerificationJob(3, 7, "spectrum", jobs=1))
-    assert (rep.total, len(read)) == (2187, 315)
-    assert read == sorted(read)
+    rep = run_verification(VerificationJob(p, n, "spectrum", jobs=1))
+    table = ksum.kloos._count_table(make_field(p, n))
+    assert rep.total == p ** n
+    assert read == [table.index(row) for row in dict.fromkeys(table)]
+    assert len(read) == distinct
+
+
+def test_finished_sweeps_keep_no_field_alive(monkeypatch):
+    # mod27 reads the X and Y exponent sets, and its --all sweeps attach
+    # every counting row to the context
+    made = []
+    real = ksum.sweeps.make_field
+
+    def tracked(*args):
+        ctx = real(*args)
+        made.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(ksum.sweeps, "make_field", tracked)
+    for n in (3, 4, 5):
+        assert run_verification(VerificationJob(3, n, "mod27", jobs=1)).failures == []
+    ksum.kloos._counts_by_index.cache_clear()
+    gc.collect()
+    assert len(made) == 3
+    assert [ref() for ref in made] == [None] * 3
 
 
 def test_row_cache_holds_the_one_row_a_sweep_reuses():
@@ -355,7 +382,7 @@ def test_worker_count_does_not_change_witness(monkeypatch, capsys):
     # two defects either side of the --jobs 2 chunk boundary, the earlier one
     # slower: both worker counts name the least failing representative
     ctx = make_field(7, 3)
-    leaders = sorted(set(_orbit_leaders(ctx, range(ctx.q), squares=True)))
+    leaders = sorted(set(_orbit_leaders(ctx, range(ctx.q))))
     assert len(leaders) == 43 and leaders[3] == 7
     slow, fast = leaders[3], leaders[23]
     real = ksum.kloos.min_poly
