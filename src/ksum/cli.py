@@ -8,7 +8,6 @@ consistency check fails (a defect in ksum, not a failed congruence).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -79,6 +78,7 @@ def _poly_payload(poly) -> dict:
 def _show(args, payload: dict, lines: list[str]) -> int:
     """Print a value command's result as one JSON object or as summary lines."""
     if args.format == "json-lines":
+        import json
         print(json.dumps(payload))
     else:
         print("\n".join(lines))

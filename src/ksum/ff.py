@@ -33,9 +33,9 @@ class InternalCheckError(RuntimeError):
 
 
 # The most entries of per-element state a run may build: the field tables
-# and the indices of an --all or --sample scope.
-# `verify --check mod27 --all` peaks near 0.75 KB per element at p = 3,
-# n = 11..12, so a sweep at the cap stays under 2 GB; 3^13 is admitted.
+# and the indices of an --all or --sample scope.  3^13 is admitted; the
+# peak memory per element that sets the cap is measured in README.md
+# ("Whatever builds state with one entry per field element").
 MAX_TABLE_Q = 2 ** 21
 
 
@@ -312,6 +312,11 @@ class FieldCtx:
     def sub(self, x: FFElem, y: FFElem) -> FFElem:
         p = self.p
         return FFElem(tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs)))
+
+    def scale(self, x: FFElem, c: int) -> FFElem:
+        """c * x for an integer c, coordinate by coordinate mod p."""
+        p = self.p
+        return FFElem(tuple(c * v % p for v in x.coeffs))
 
     def mul(self, x: FFElem, y: FFElem) -> FFElem:
         return FFElem(_mulmod(x.coeffs, y.coeffs, self.modulus, self.p))

@@ -101,11 +101,7 @@ def kloosterman(ctx: FieldCtx, a: FFElem) -> KloostermanValue:
 
 def conjugate_family(ctx: FieldCtx, a: FFElem) -> tuple[KloostermanValue, ...]:
     """Sums at i^2 * a for i = 1..(p-1)/2: the Galois orbit, by re-summation."""
-    out = []
-    for i in range(1, (ctx.p - 1) // 2 + 1):
-        scaled = ctx.mul(a, ctx.from_int(i * i))
-        out.append(kloosterman(ctx, scaled))
-    return tuple(out)
+    return tuple(kloosterman(ctx, ctx.scale(a, i * i)) for i in range(1, (ctx.p - 1) // 2 + 1))
 
 
 def min_poly(ctx: FieldCtx, a: FFElem) -> MinPolyResult:

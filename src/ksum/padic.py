@@ -213,6 +213,11 @@ class UnramCtx(Value):
         # precision before it pays for p^K
         return self.p ** self.precision
 
+    @cached_property
+    def inverse_q1(self) -> int:
+        """1/(q-1) mod p^K, the denominator of every Gross-Koblitz argument."""
+        return pow(self.field.q - 1, -1, self.pk)
+
     def zero(self) -> UnramElem:
         return UnramElem(self, (0,) * self.n)
 
@@ -399,8 +404,9 @@ def _gamma_values(uctx: UnramCtx, j: int) -> tuple[PadicInt, ...]:
     """
     p, precision, q = uctx.p, uctx.precision, uctx.field.q
     _check_gamma_modulus(p, precision)
-    unit = padic_from_rational(1, q - 1, p, precision)
-    return tuple(gamma_p(unit * (p ** i * j % (q - 1))) for i in range(uctx.n))
+    unit = uctx.inverse_q1
+    return tuple(gamma_p(PadicInt(p, precision, unit * (p ** i * j % (q - 1))))
+                 for i in range(uctx.n))
 
 
 def _gauss_sum_factors(uctx: UnramCtx, j: int) -> tuple[tuple[PadicInt, ...], PiMonomial]:
@@ -440,7 +446,7 @@ def gauss_square_mod27(uctx: UnramCtx, j: int) -> PadicInt:
 def check_stickelberger(uctx: UnramCtx, j: int) -> CongruenceReport:
     """Unit part of g(j) vs the inverse product of digit factorials, mod p."""
     p = uctx.p
-    lhs = reduce(operator.mul, _gamma_values(uctx, j)).residue % p
+    lhs = math.prod(g.residue for g in _gamma_values(uctx, j)) % p
     fact = 1
     jj = j
     while jj:

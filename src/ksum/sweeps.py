@@ -16,8 +16,13 @@ the accessor) and values each distinct row once, so it starts no pool.
 
 A check flagged `orbit` reports the same values at a and a^p (elements)
 or at j and p*j mod q-1 (Gauss indices).  Its `--all` sweep evaluates
-only the least index of each orbit, then gives every member its
-representative's reports with the member as witness, in index order.
+only the least index of each orbit and keeps only those representatives'
+reports, with the representative of every index.  The failures and the
+lhs histogram are counted from the representatives, weighted by orbit
+size.  `SweepReport.cases` is a `Cases` view: iterated, it gives every
+member its representative's reports with the member as witness, in index
+order; `emit_report` writes a member from its representative's rendered
+payloads and the digits of its index, building no report for it.
 Element orbits also close under a -> c^2 a for c in F_p^*: the Galois
 conjugates of K(a) are sigma_c(K(a)) = K(c^2 a), so a and c^2 a share the
 conjugate family, and Tr(c^2 a) = c^2 Tr(a) keeps both whether the trace
@@ -26,21 +31,21 @@ of 1331 elements, where Frobenius orbits alone give 451.  At p = 3 the
 step is the identity; Gauss indices keep Frobenius orbits.  `--a`, `--j`
 and `--sample` evaluate exactly the indices they name.
 
-The process pool, the p-adic module and `random` are imported on first
-use: the pool when a sweep starts more than one worker, `padic` when a
-check with a precision lifts the field, `random` when a `--sample` scope
-draws its indices, so a run loads none of them unless it needs it.
+The process pool, the p-adic module, `random` and `json` are imported on
+first use: the pool when a sweep starts more than one worker, `padic`
+when a check with a precision lifts the field, `random` when a
+`--sample` scope draws its indices, `json` when a report is written as
+json-lines, so a run loads none of them unless it needs it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from collections import Counter
 from functools import partial
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import kloos
 from ._value import Value
@@ -62,8 +67,83 @@ class VerificationJob(Value):
         super().__init__(p, n, check, modulus, scope, jobs, precision)
 
 
+class Cases(Value):
+    """A sweep's cases in index order, built only when read.
+
+    Index `indices[k]` takes the reports evaluated at `reps[k]`, its
+    orbit's representative: the representative keeps its own reports, and
+    every other member gets copies with its own witness, the element of
+    `ctx` at that index, or the index itself (a Gauss index) when `ctx` is
+    None.  The copies are made only by iterating; `emit_report` never
+    iterates, so it builds no report and no element per member.  A view
+    equals the list it iterates, prints as that list, and, like a list, is
+    unhashable (a class that defines `__eq__` alone gets no hash); a list
+    of reports is a view whose every case is its own representative
+    (`Cases.of`).
+    """
+
+    __slots__ = ("indices", "reps", "reports", "ctx")
+
+    @classmethod
+    def of(cls, cases) -> Cases:
+        """`cases` if it is a view, else a view of its list of reports."""
+        if type(cases) is cls:
+            return cases
+        keys = range(len(cases))
+        return cls(keys, keys, {k: (r,) for k, r in enumerate(cases)}, None)
+
+    def failing(self) -> Cases:
+        """The failing cases, each still at every index of its orbit."""
+        bad = {rep: [r for r in rs if not r.passed] for rep, rs in self.reports.items()
+               if not all(r.passed for r in rs)}
+        keep = [(i, rep) for i, rep in zip(self.indices, self.reps) if rep in bad] if bad else []
+        return Cases([i for i, _ in keep], [rep for _, rep in keep], bad, self.ctx)
+
+    def member_text(self, sep: str, brackets: str) -> Callable[[int], str]:
+        """index -> a member's witness text: its Gauss index, or its
+        coefficients joined by `sep` inside `brackets`, spelled from the
+        field's two digit halves (`FieldCtx._digit_tables`)."""
+        if self.ctx is None:
+            return str
+        P, lo, hi = self.ctx._digit_tables
+        low = [brackets[:1] + "".join(f"{c}{sep}" for c in t) for t in lo]
+        high = [sep.join(map(str, t)) + brackets[1:] for t in hi]
+        return lambda i: low[i % P] + high[i // P]
+
+    def __iter__(self) -> Iterator[CongruenceReport]:
+        member = int if self.ctx is None else self.ctx.element_at
+        for i, rep in zip(self.indices, self.reps):
+            for r in self.reports[rep]:
+                yield r if i == rep else CongruenceReport(
+                    r.subject, r.lhs, r.rhs, r.modulus, r.passed, member(i))
+
+    def __len__(self) -> int:
+        return sum(len(self.reports[rep]) for rep in self.reps)
+
+    def __getitem__(self, k):
+        return list(self)[k]
+
+    def __eq__(self, other: object):
+        if not isinstance(other, (Cases, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class SweepReport(Value):
+    """A sweep's job echo, scope size, cases, failures and lhs histogram.
+
+    `cases` and `failures` are read as `Cases` views; a list given for
+    either is viewed as it is.
+    """
+
     __slots__ = ("job", "total", "cases", "failures", "histogram", "wall_time")
+
+    def __init__(self, job: dict, total: int, cases, failures,
+                 histogram: Optional[dict], wall_time: float):
+        super().__init__(job, total, Cases.of(cases), Cases.of(failures), histogram, wall_time)
 
 
 class CheckDef(Value):
@@ -271,7 +351,8 @@ def run_verification(job: VerificationJob) -> SweepReport:
         "precision": precision,
     }
     if cd.domain == "aggregate":
-        cases, histogram = _spectrum_reports(ctx)
+        listed, histogram = _spectrum_reports(ctx)
+        cases = Cases.of(listed)
     else:
         reps = indices
         if cd.orbit and whole:
@@ -279,7 +360,6 @@ def run_verification(job: VerificationJob) -> SweepReport:
         evaluated = [i for i, r in zip(indices, reps) if i == r]
         workers = min(workers, cpus, len(evaluated))
         evaluate = partial(_evaluate, job.check, ctx, uctx)
-        member = (lambda i: i) if cd.domain == "exponent" else ctx.element_at
         if workers > 1:
             from multiprocessing import Pool
             with Pool(processes=workers) as pool:
@@ -287,68 +367,78 @@ def run_verification(job: VerificationJob) -> SweepReport:
                 by_rep = dict(zip(evaluated, pool.imap(evaluate, evaluated, chunk)))
         else:
             by_rep = dict(zip(evaluated, map(evaluate, evaluated)))
-        cases = [r if i == rep else
-                 CongruenceReport(r.subject, r.lhs, r.rhs, r.modulus, r.passed, member(i))
-                 for i, rep in zip(indices, reps) for r in by_rep[rep]]
-        histogram = dict(sorted(Counter(r.lhs for r in cases).items())) if cd.histogram else None
-    return SweepReport(echo, len(indices), cases, [r for r in cases if not r.passed],
+        cases = Cases(indices, reps, by_rep, None if cd.domain == "exponent" else ctx)
+        histogram = None
+        if cd.histogram:
+            # each representative's lhs counts once per member of its orbit;
+            # first met in index order, as a tally of every case would meet it
+            size, tally = Counter(reps), Counter()
+            for rep, reports in by_rep.items():
+                for r in reports:
+                    tally[r.lhs] += size[rep]
+            histogram = dict(sorted(tally.items()))
+    return SweepReport(echo, len(indices), cases, cases.failing(),
                        histogram, time.perf_counter() - t0)
 
 
-_BATCH = 256       # lines per write
+_BATCH = 256       # cases per write
 
 
-def _write_cases(stream: TextIO, rows: Sequence[CongruenceReport],
+def _write_cases(stream: TextIO, cases: Cases,
                  payload: Callable[[CongruenceReport], tuple[str, str]],
-                 witness: Callable[[object], str]) -> None:
+                 witness: Callable[[object], str], sep: str, brackets: str) -> None:
     """Write one line per case: its payload's head, its witness, its payload's tail.
 
-    The orbit fan-out in `run_verification` hands each member the subject,
-    lhs, rhs, modulus and verdict objects of its representative's report,
-    so a payload is keyed by the identity of those five objects, never by
-    value (1 == True, yet they render apart).  `payload` renders a head
-    and tail the first time their key is seen, so memory grows with
-    distinct payloads, not with cases.  The reports of one evaluation
-    share their witness object, so a witness is rendered once for a run of
-    cases that hold it.  Lines go out `_BATCH` at a time.
+    A representative comes before the other members of its orbit.  There
+    its reports' payloads are rendered, around the witnesses they hold,
+    and kept as the pieces between which each later member's witness text
+    goes (`Cases.member_text`), so no report and no element is built for
+    a member.  Equal pieces are kept once.  Cases go out `_BATCH` at a
+    time.
     """
-    parts: dict[tuple[int, ...], tuple[str, str]] = {}
+    member = cases.member_text(sep, brackets)
+    pieces: dict[int, tuple[str, ...]] = {}
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     out: list[str] = []
-    last, text = object(), ""      # no report holds this witness
-    for r in rows:
-        key = (id(r.subject), id(r.lhs), id(r.rhs), id(r.modulus), id(r.passed))
-        part = parts.get(key)
-        if part is None:
-            part = parts[key] = payload(r)
-        if r.witness is not last:
-            last = r.witness
-            text = witness(last)
-        out += part[0], text, part[1]
-        if len(out) >= 3 * _BATCH:
+    for i, rep in zip(cases.indices, cases.reps):
+        if i == rep:
+            reports = cases.reports[rep]
+            heads, tails = zip(*map(payload, reports))
+            out += map("".join, zip(heads, (witness(r.witness) for r in reports), tails))
+            # h1, t1 + h2, ..., tk: a member's lines are its witness text between these
+            joined = (heads[0], *map(str.__add__, tails[:-1], heads[1:]), tails[-1])
+            pieces[rep] = shared.setdefault(joined, joined)
+        else:
+            out.append(member(i).join(pieces[rep]))
+        if len(out) >= _BATCH:
             stream.write("".join(out))
             out.clear()
     if out:
         stream.write("".join(out))
 
 
-def _json_payload(r: CongruenceReport) -> tuple[str, str]:
+def _json_payload(dumps, r: CongruenceReport) -> tuple[str, str]:
     tail = {"lhs": r.lhs, "rhs": r.rhs, "modulus": r.modulus, "pass": r.passed}
-    return ('{"type": "case", "subject": ' + json.dumps(r.subject) + ', "witness": ',
-            ", " + json.dumps(tail)[1:] + "\n")
+    return ('{"type": "case", "subject": ' + dumps(r.subject) + ', "witness": ',
+            ", " + dumps(tail)[1:] + "\n")
 
 
-def _json_witness(w) -> str:
+def _json_witness(dumps, w) -> str:
     if type(w) is FFElem:
         return "[" + ", ".join(map(str, w.coeffs)) + "]"
     if type(w) is int:
         return str(w)
-    return json.dumps(w)
+    return dumps(w)
 
 
 def _csv_payload(r: CongruenceReport) -> tuple[str, str]:
     modulus = "" if r.modulus is None else str(r.modulus)
     return (r.subject + ",",
             f",{_csv_cell(r.lhs)},{_csv_cell(r.rhs)},{modulus},{str(r.passed).lower()}\n")
+
+
+def _fail_payload(r: CongruenceReport) -> tuple[str, str]:
+    return f"FAIL {r.subject} witness=", f" lhs={_csv_cell(r.lhs)} rhs={_csv_cell(r.rhs)}\n"
 
 
 def emit_report(report: SweepReport, fmt: str, stream: TextIO,
@@ -359,8 +449,11 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
     failures.  Nothing emitted here depends on worker count or timing.
     """
     if fmt == "json-lines":
+        import json
+        dumps = json.dumps
         rows = report.cases if records == "all" else report.failures
-        _write_cases(stream, rows, _json_payload, _json_witness)
+        _write_cases(stream, rows, partial(_json_payload, dumps), partial(_json_witness, dumps),
+                     ", ", "[]")
         histogram = report.histogram
         if histogram is not None:
             histogram = {str(k): v for k, v in histogram.items()}
@@ -371,15 +464,12 @@ def emit_report(report: SweepReport, fmt: str, stream: TextIO,
             "failures": len(report.failures),
             "histogram": histogram,
         }
-        stream.write(json.dumps(summary) + "\n")
+        stream.write(dumps(summary) + "\n")
     elif fmt == "csv":
         stream.write("subject,witness,lhs,rhs,modulus,pass\n")
-        _write_cases(stream, report.cases, _csv_payload, _csv_cell)
+        _write_cases(stream, report.cases, _csv_payload, _csv_cell, ":", "")
     elif fmt == "summary":
-        for r in report.failures:
-            stream.write(
-                f"FAIL {r.subject} witness={_csv_cell(r.witness)} "
-                f"lhs={_csv_cell(r.lhs)} rhs={_csv_cell(r.rhs)}\n")
+        _write_cases(stream, report.failures, _fail_payload, _csv_cell, ":", "")
         if report.histogram is not None:
             for k, v in report.histogram.items():
                 stream.write(f"count[{_csv_cell(k)}] = {v}\n")

@@ -938,15 +938,17 @@ def test_spawn_start_method_gives_same_stdout(check):
 # ------------------------------------------------------ start-up imports
 
 _LAZY_IMPORTS = ("multiprocessing", "ksum.padic", "fractions", "decimal", "random",
-                 "dataclasses", "inspect", "ksum._product_tree")
+                 "dataclasses", "inspect", "ksum._product_tree", "json")
 _IMPORTS_SCRIPT = """
-import json, os, sys
+import os, sys
 import ksum.cli
 rc = 0
 if len(sys.argv) > 1:
     os.cpu_count = lambda: 2          # a --jobs 2 sweep starts its pool
     rc = ksum.cli.main(sys.argv[1:])
-print(json.dumps([m for m in %r if m in sys.modules]), file=sys.stderr)
+loaded = [m for m in %r if m in sys.modules]
+import json                           # only now, for printing
+print(json.dumps(loaded), file=sys.stderr)
 sys.exit(rc)
 """ % (_LAZY_IMPORTS,)
 
@@ -954,6 +956,12 @@ sys.exit(rc)
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
     (["verify", "--field", "p=3,n=4", "--check", "mod27", "--all", "--jobs", "1"], []),
+    (["verify", "--field", "p=3,n=4", "--check", "mod27", "--all", "--jobs", "1",
+      "--format", "csv"], []),
+    (["verify", "--field", "p=3,n=4", "--check", "mod27", "--all", "--jobs", "1",
+      "--format", "json-lines"], ["json"]),
+    (["kloosterman", "--field", "p=3,n=4", "--a", "1,2,0,1", "--format", "json-lines"],
+     ["json"]),
     (["spectrum", "--field", "p=3,n=4", "--jobs", "2"], []),
     # padic loads fractions only for the gamma arguments that gauss prints
     (["verify", "--field", "p=3,n=4", "--check", "fourier", "--a", "1,0,0,0"],

@@ -874,6 +874,14 @@ def test_pow_conventions(f27):
     assert f27.pow(g, -1) == f27.inv(g)
 
 
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (11, 2), (13, 1)])
+def test_scale_is_multiplication_by_a_prime_field_element(p, n):
+    ctx = make_field(p, n)
+    for a in ctx.elements():
+        for c in range(p):
+            assert ctx.scale(a, c) == ctx.mul(a, ctx.from_int(c)), (a, c)
+
+
 def test_element_index_round_trip(f25):
     for k, a in enumerate(f25.elements()):
         assert f25.index(a) == k

@@ -448,6 +448,18 @@ def test_gauss_square_support_builds_no_field_table():
     assert "tables" not in ctx.__dict__
 
 
+@pytest.mark.parametrize("p,n,precision", [(3, 3, 3), (5, 2, 2), (11, 3, 4), (7, 2, 1)])
+def test_gamma_values_read_the_cached_inverse_of_q_minus_1(p, n, precision):
+    uctx = lift_field(make_field(p, n), precision)
+    q = uctx.field.q
+    assert uctx.inverse_q1 * (q - 1) % uctx.pk == 1
+    for j in range(1, q - 1):
+        # the Gross-Koblitz arguments as fractions, one per conjugate index
+        want = tuple(gamma_p(padic_from_rational(p ** i * j % (q - 1), q - 1, p, precision))
+                     for i in range(n))
+        assert ksum.padic._gamma_values(uctx, j) == want, j
+
+
 def test_stickelberger_exhaustive():
     for p, n in ((3, 3), (5, 2), (7, 2)):
         ctx = make_field(p, n)

@@ -8,6 +8,7 @@ import os
 import re
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -452,7 +453,7 @@ def test_check_functions_refuse_unsupported_fields(call, message):
         call()
 
 
-# ------------------------------------------- shared-payload emission
+# ------------------------------------------- emission from representatives
 
 def _oracle_jsonable(v):
     if isinstance(v, FFElem):
@@ -521,7 +522,7 @@ def test_emission_matches_per_case_rendering(check, p, n):
     assert_emits_as_oracle(run_verification(VerificationJob(p, n, check, jobs=1)))
 
 
-def test_emission_keys_payloads_by_identity():
+def test_emission_renders_listed_reports_apart():
     elem = FFElem((2, 0, 1))
     pair, equal_pair = tuple([1, 2]), tuple([1, 2])
     assert pair == equal_pair and pair is not equal_pair
@@ -537,7 +538,7 @@ def test_emission_keys_payloads_by_identity():
              CongruenceReport("spectrum/checksum", 81, 81, None, True, "sum-over-field"),
              CongruenceReport("weil", 9, 108, None, True, FFElem((0, 0, 0))),
              CongruenceReport("mod27", 3, 6, 27, False, FFElem((1, 1, 1)))]
-    # an orbit fan-out: members hold their representative's payload objects
+    # reports that share their payload objects, as an orbit fan-out's did
     rep = CongruenceReport("mod27", tuple([4, 5]), tuple([4, 6]), 9, False, elem)
     cases += [rep] + [CongruenceReport(rep.subject, rep.lhs, rep.rhs, rep.modulus,
                                        rep.passed, w) for w in (8, elem, "x")]
@@ -551,6 +552,90 @@ def test_emission_keys_payloads_by_identity():
     assert lines[4] == ('{"type": "case", "subject": "mod27", "witness": [2, 0, 1], '
                         '"lhs": true, "rhs": 1, "modulus": 27, "pass": true}')
     assert lines[6].endswith('"witness": 7, "lhs": true, "rhs": 1, "modulus": 27, "pass": 1}')
+
+
+def _count_builds(monkeypatch, cls) -> list:
+    """One entry per instance of `cls` built while the patch holds."""
+    built, init = [], cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("check,p,n", [("mod27", 3, 6), ("moisio", 7, 2)])
+def test_sweep_builds_reports_only_at_representatives(monkeypatch, capsys, check, p, n):
+    ctx = make_field(p, n)
+    leaders = len(set(_orbit_leaders(ctx, range(ctx.q))))
+    reports = _count_builds(monkeypatch, CongruenceReport)
+    assert main(["verify", "--field", f"p={p},n={n}", "--check", check, "--all",
+                 "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.endswith(f"PASS total={ctx.q}\n")
+    assert len(reports) == leaders < ctx.q
+    # members are written from the representative's payloads and their
+    # digits: emission builds no report and no element
+    rep = run_verification(VerificationJob(p, n, check, jobs=1))
+    reports.clear()
+    elements = _count_builds(monkeypatch, FFElem)
+    for fmt, records in EMISSIONS:
+        emit_report(rep, fmt, io.StringIO(), records=records)
+    assert (len(reports), len(elements)) == (0, 0)
+
+
+def _fail_one_orbit(monkeypatch, module, name, orbit):
+    """Rebind a check so that it fails, with a moved lhs, exactly on `orbit`."""
+    real = getattr(module, name)
+
+    def patched(ctx, x):
+        r = real(ctx, x)
+        key = x if type(x) is int else ctx.index(x)
+        if key not in orbit:
+            return r
+        lhs = r.lhs + 100 if type(r.lhs) is int else r.lhs
+        return CongruenceReport(r.subject, lhs, r.rhs, r.modulus, False, r.witness)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("check,p,n,module,name,target", [
+    ("mod27", 3, 5, ksum.kloos, "check_mod27", 100),
+    ("moisio", 7, 2, ksum.kloos, "check_min_poly_reduction", 30),
+    ("moisio", 11, 1, ksum.kloos, "check_min_poly_reduction", 2),   # no low digits
+    ("thm1", 13, 1, ksum.kloos, "check_conjugate_product", 5),
+    ("stickelberger", 5, 2, padic, "check_stickelberger", 7),
+])
+def test_forced_failure_matches_per_element_oracle(monkeypatch, check, p, n, module, name,
+                                                   target, jobs):
+    cd = CHECKS[check]
+    ctx = make_field(p, n)
+    exponent = cd.domain == "exponent"
+    domain = range(1, ctx.q - 1) if exponent else range(ctx.q)
+    leaders = _orbit_leaders(ctx, domain, exponent)
+    lead = leaders[domain.index(target)]
+    orbit = {i for i, r in zip(domain, leaders) if r == lead}
+    assert 1 < len(orbit) < len(domain)
+    _fail_one_orbit(monkeypatch, module, name, orbit)
+    precision = cd.precision[0] if cd.precision else None
+    rep = run_verification(VerificationJob(p, n, check, jobs=jobs, precision=precision))
+    uctx = padic.lift_field(ctx, precision) if precision else None
+    direct = [r for i in domain for r in cd.evaluate(ctx, uctx, i)]
+    failures = [r for r in direct if not r.passed]
+    assert len(failures) == len(orbit)
+    histogram = (dict(sorted(Counter(r.lhs for r in direct).items()))
+                 if cd.histogram else None)
+    assert (rep.cases, rep.failures, rep.histogram) == (direct, failures, histogram)
+    oracle = SweepReport(rep.job, len(domain), direct, failures, histogram, 0.0)
+    for fmt, records in EMISSIONS:
+        buf = io.StringIO()
+        emit_report(rep, fmt, buf, records=records)
+        assert buf.getvalue() == oracle_emit(oracle, fmt, records), (fmt, records)
+    text = oracle_emit(oracle, "summary")
+    assert text.count(" witness=") == len(orbit)
+    assert text.endswith(f"FAIL total={len(domain)} failures={len(orbit)}\n")
 
 
 # ------------------------------------------- tuple-valued cells
