@@ -13,7 +13,8 @@ A sweep report holds lists and a dict, so hashing one raises TypeError.  A
 pickle rebuilds an instance through its constructor, since a frozen one
 cannot take its state by assignment; the constructor's checks run again on
 the way in.  A slot named `__dict__` makes room for
-`functools.cached_property` and is not a field.
+`functools.cached_property`, one named `__weakref__` for weak references,
+and neither is a field.
 
 The standard library's record generator would give the same methods, but
 importing it loads `inspect` and its dependencies, and it compiles each
@@ -33,7 +34,7 @@ class Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        fields = tuple(name for name in cls.__slots__ if name not in ("__dict__", "__weakref__"))
         get = attrgetter(*fields)
         cls._fields = fields
         # each field's slot store, called as put(self, value); it bypasses

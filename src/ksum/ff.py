@@ -9,8 +9,8 @@ base-(2p-1) code of its coefficients, and splits it into two half-words:
 small tables over each half give g times that half, its index and its
 trace, and the two products add digit by digit with no carry, since each
 digit of each is below p.  `element_at` likewise joins two tables of
-half-length digit tuples.  A context's arithmetic never changes, but it
-is not frozen: a whole-field sweep attaches `count_rows` to it.
+half-length digit tuples.  A context is a frozen value of its p, n,
+modulus and generator; whatever it builds lazily is a cache beside them.
 """
 
 from __future__ import annotations
@@ -226,37 +226,29 @@ class FieldTables(NamedTuple):
                                    # no wrap; Tr(g**-k) sits at q-1-k
 
 
-class FieldCtx:
-    """Arithmetic context for F_{p^n}.
+class FieldCtx(Value):
+    """Arithmetic context for F_{p^n}: a value of (p, n, modulus, generator).
 
-    Every operation is a pure function of its inputs; the lazily built
-    lookup tables are an invisible cache, so contexts can be shared or
-    rebuilt freely across worker processes.  The one attribute set after
-    construction is `count_rows`, None until a whole-field sweep attaches
-    every Kloosterman counting row by element index (see kloos); it is
-    pickled with the context to the sweep's workers and takes no part in
-    equality or hashing.
+    Every operation is a pure function of its inputs.  The lazily built
+    lookup tables are an invisible cache in the context's `__dict__`, and
+    so is the whole-field counting table that `kloos._count_table` keeps
+    there; none takes part in equality or hashing.  Unlike the other
+    values, a context pickles with that cache, so a sweep's workers
+    receive the tables and rows the parent built.
     """
 
+    __slots__ = ("p", "n", "modulus", "generator", "__dict__", "__weakref__")
+
     def __init__(self, p: int, n: int, modulus: Sequence[int], generator: FFElem):
-        self.p = int(p)
-        self.n = int(n)
-        self.q = self.p ** self.n
-        self.modulus = tuple(int(c) % self.p for c in modulus)
-        self.generator = generator
-        self.count_rows: Optional[list[tuple[int, ...]]] = None
+        p = int(p)
+        super().__init__(p, int(n), tuple(int(c) % p for c in modulus), generator)
 
-    def __repr__(self) -> str:
-        return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"
+    def __reduce__(self):
+        return type(self), self._values(self), vars(self)
 
-    def _key(self) -> tuple:
-        return (self.p, self.n, self.modulus, self.generator.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldCtx) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    @cached_property
+    def q(self) -> int:
+        return self.p ** self.n
 
     # element construction and enumeration
 
@@ -286,7 +278,8 @@ class FieldCtx:
         """(P, lo, hi), P = p^(n//2): the digits of element k are lo[k % P] + hi[k // P].
 
         The tables hold about 2 * sqrt(q) tuples, but are refused above the
-        cap of the field tables, which every caller of element_at reads too.
+        cap of the field tables, which every caller of element_at reads too;
+        `tables` reads these first, so this is its cap check as well.
         """
         p, n = self.p, self.n
         check_table_cap(self.q, f"the field tables of F_{p}^{n}")
@@ -334,11 +327,7 @@ class FieldCtx:
 
     def inv(self, x: FFElem) -> FFElem:
         """Multiplicative inverse, with the sweep convention inv(0) = 0."""
-        if x.is_zero():
-            return self.zero()
-        t = self.tables
-        k = t.log[self.index(x)]
-        return self.element_at(t.exp[(self.q - 1 - k) % (self.q - 1)])
+        return self.zero() if x.is_zero() else self.pow(x, -1)
 
     def frobenius(self, x: FFElem) -> FFElem:
         return FFElem(_powmod(x.coeffs, self.p, self.modulus, self.p))
@@ -373,7 +362,6 @@ class FieldCtx:
         means the generator's order is below q-1, and the walk stops there.
         """
         q, p, n = self.q, self.p, self.n
-        check_table_cap(q, f"the field tables of F_{p}^{n}")
         gen, mod, basis = self.generator.coeffs, self.modulus, self._trace_basis
         m, h = 2 * p - 1, n // 2
         P, lo, hi = self._digit_tables

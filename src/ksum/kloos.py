@@ -52,15 +52,14 @@ class CongruenceReport(Value):
 def _counts_by_index(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
     """The counting row at element index a_idx: counts[t] = #{x : Tr(1/x + a*x) = t}.
 
-    Read from the context's `count_rows` when a sweep has attached them,
-    else counted over the field.  The cache keeps the last row only: the
+    Read from the context's counting table when `_count_table` has built
+    it, else counted over the field.  The cache keeps the last row only: the
     conjugate family of 0 reads row 0 once per conjugate, one read after
     another, and an `--all` sweep reads every other row at most once.  A
     `--sample` at p >= 5 that holds both a and c^2 a counts their rows again.
     """
-    if ctx.count_rows is not None:
-        return ctx.count_rows[a_idx]
-    return _count_row(ctx, a_idx)
+    rows = vars(ctx).get("count_rows")
+    return _count_row(ctx, a_idx) if rows is None else rows[a_idx]
 
 
 def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
@@ -88,9 +87,14 @@ def _count_row(ctx: FieldCtx, a_idx: int) -> tuple[int, ...]:
 
 def _count_table(ctx: FieldCtx) -> list[tuple[int, ...]]:
     """Every counting row of the field, in element-index order, from one
-    transform: see `ksum._kloos_table`, which only whole-field sweeps load."""
-    from . import _kloos_table
-    return _kloos_table.count_table(ctx)
+    transform: see `ksum._kloos_table`, which only whole-field sweeps load.
+    Built once per context and kept in its `__dict__` as `count_rows`, which
+    `_counts_by_index` reads and a pickle carries to a sweep's workers."""
+    rows = vars(ctx).get("count_rows")
+    if rows is None:
+        from . import _kloos_table
+        rows = vars(ctx)["count_rows"] = _kloos_table.count_table(ctx)
+    return rows
 
 
 def kloosterman(ctx: FieldCtx, a: FFElem) -> KloostermanValue:

@@ -9,10 +9,11 @@ failing representative at every worker count.  Wall time is tracked on
 the report but never written to the output stream for the same reason.
 
 An `--all` sweep of a check that reads counting rows (`rows`), at n >= 2,
-first attaches every row to the field context, from one transform in
-this process (`kloos._count_table`); workers receive the rows with the
-pickled context.  `spectrum` tallies that table (at n = 1, each row through
-the accessor) and values each distinct row once, so it starts no pool.
+first builds every row from one transform in this process
+(`kloos._count_table`, which keeps the table on the field context);
+workers receive the rows with the pickled context.  `spectrum` tallies
+that table (at n = 1, each row through the accessor) and values each
+distinct row once, so it starts no pool.
 
 A check flagged `orbit` reports the same values at a and a^p (elements)
 or at j and p*j mod q-1 (Gauss indices).  Its `--all` sweep evaluates
@@ -276,13 +277,14 @@ def _resolve_scope(job: VerificationJob, ctx: FieldCtx, domain: str) -> tuple[Se
 def _spectrum_reports(ctx: FieldCtx):
     """Checksum and divisibility reports plus the value histogram.
 
-    The rows are the certified table the sweep attached (n >= 2), or each
-    row through the accessor (n = 1).  `Counter` keeps the distinct rows in
-    order of first appearance, and each is valued once by `kloosterman` at
-    the least index that holds it, which is a bad row's witness.
+    The rows are the certified table (n >= 2), or each row through the
+    accessor (n = 1).  `Counter` keeps the distinct rows in order of first
+    appearance, and each is valued once by `kloosterman` at the least
+    index that holds it, which is a bad row's witness.
     """
     p = ctx.p
-    rows = ctx.count_rows or [kloos._counts_by_index(ctx, a) for a in range(ctx.q)]
+    rows = (kloos._count_table(ctx) if ctx.n > 1
+            else [kloos._counts_by_index(ctx, a) for a in range(ctx.q)])
     hist: dict = {}
     totals = [0] * p
     idx = -1
@@ -342,7 +344,7 @@ def run_verification(job: VerificationJob) -> SweepReport:
     if whole and cd.rows and ctx.n > 1:
         # at n = 1 the packed-plane transform costs more than counting each row
         # (p = 13: 4 ms against 0.2 ms; p = 101: about 0.3 s against 0.03-0.04 s)
-        ctx.count_rows = kloos._count_table(ctx)
+        kloos._count_table(ctx)
     echo = {
         "field": {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus),
                   "generator": list(ctx.generator.coeffs)},

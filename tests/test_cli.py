@@ -39,7 +39,7 @@ def test_parse_field_spec_with_modulus():
 
 def test_parse_field_spec_errors():
     for bad in ("p=3", "n=2", "p=3,n=x", "p=3,p=4,n=2", "q=9,n=2",
-                "p=3;n=2", "p=3,n=2,mod=1,a,1"):
+                "p=3;n=2", "p=3,n=2,mod=1,a,1", "p=3,n"):
         with pytest.raises(FieldSpecError):
             parse_field_spec(bad)
 
@@ -293,6 +293,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--field", "p=3,n=2", "--check", "mod27", "--all"]) == 2
     assert main(["kloosterman", "--field", "p=3,n=3", "--a", "1,0"]) == 2
     capsys.readouterr()
+    assert main(["kloosterman", "--field", "p=3,n=3", "--a", ",,"]) == 2
+    assert capsys.readouterr().err == "error: element ',,': expected comma-separated integers\n"
     # argparse enforces exactly one scope, so these stop in parse_args
     for scopes, message in (
             ([], "one of the arguments --all --a --j --sample is required"),

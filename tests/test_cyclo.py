@@ -119,6 +119,8 @@ def test_as_rational():
 def test_wrong_coord_length_rejected():
     with pytest.raises(ValueError):
         CycInt(5, (1, 2, 3))
+    with pytest.raises(ValueError, match="need 5 exponent counts, got 4"):
+        CycInt.from_power_counts(5, (1, 2, 3, 4))
 
 
 # ------------------------------------------------------------ arithmetic
@@ -214,6 +216,9 @@ def test_poly_mul_pow_eval():
     assert (f * g).coeffs == (-2, -1, 3)
     assert (f ** 3).coeffs == (-1, 3, -3, 1)
     assert (f ** 0).coeffs == (1,)
+    assert (f * IntPolynomial(())).coeffs == (IntPolynomial(()) * g).coeffs == ()
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        f ** -1
     assert f(5) == 4
     assert (f * g)(7) == f(7) * g(7)
 

@@ -786,7 +786,7 @@ def test_squares_step_is_trivial_at_p3(n, modulus):
 def test_orbit_walk_reads_no_exp_table(p, n, monkeypatch):
     # the walk labels keys derived from log alone
     ctx = make_field(p, n)
-    monkeypatch.setattr(ctx, "tables", ctx.tables._replace(exp=None))
+    monkeypatch.setitem(vars(ctx), "tables", ctx.tables._replace(exp=None))
     elements = range(ctx.q)
     assert ksum.ff._orbit_leaders(ctx, elements) == oracle_joint_leaders(ctx)
 
@@ -960,8 +960,9 @@ def test_subset_sizes_q81():
 def test_subset_requirements():
     f5 = make_field(5, 2)
     assert build_subset(f5, "W").exponents == (1, 5)
-    with pytest.raises(FieldError):
-        build_subset(f5, "X")
+    for kind in "XYZ":
+        with pytest.raises(FieldError, match=f"kind '{kind}' requires p = 3"):
+            build_subset(f5, kind)
     f9 = make_field(3, 2)
     with pytest.raises(FieldError):
         build_subset(f9, "Y")  # needs n >= 3

@@ -332,9 +332,9 @@ def corrupt_planes(monkeypatch, corrupt):
 
 def test_count_table_rejects_a_corrupt_row_class(monkeypatch):
     # K -> K + 3 on every element of one class: still rational, and every
-    # row still sums to q, so only the moments see it
-    ctx = make_field(3, 5)
-    rows = ksum.kloos._count_table(ctx)
+    # row still sums to q, so only the moments see it.  The corrupt table is
+    # built on a second context, as the first keeps the table it built
+    rows = ksum.kloos._count_table(make_field(3, 5))
     victim = rows[1]
     W = ksum._kloos_table.W
 
@@ -347,7 +347,14 @@ def test_count_table_rejects_a_corrupt_row_class(monkeypatch):
 
     corrupt_planes(monkeypatch, corrupt)
     with pytest.raises(InternalCheckError, match="moment 2"):
-        ksum.kloos._count_table(ctx)
+        ksum.kloos._count_table(make_field(3, 5))
+
+
+def test_count_table_rejects_a_row_that_misses_the_field(monkeypatch):
+    # one more x counted at a = 0 in plane 0: that row sums to q + 1
+    corrupt_planes(monkeypatch, lambda ctx, planes: [planes[0] + 1, *planes[1:]])
+    with pytest.raises(InternalCheckError, match="trace counts do not cover the field"):
+        ksum.kloos._count_table(make_field(3, 4))
 
 
 def test_count_table_rejects_a_plane_wider_than_the_table(monkeypatch, capsys):

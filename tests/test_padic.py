@@ -13,6 +13,7 @@ import math
 import operator
 import pickle
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import ksum.padic
 from ksum.ff import build_subset, make_field, power_sum
 from ksum.kloos import CongruenceReport, InternalCheckError, kloosterman
-from ksum.padic import (PadicInt, PiMonomial, _power_combination,
+from ksum.padic import (PadicInt, PiMonomial, UnramCtx, _power_combination,
                         check_fourier_mod27, check_gauss_square_mod27,
                         check_stickelberger,
                         gamma_p, gauss_square_mod27, gauss_sum,
@@ -55,6 +56,26 @@ def test_padic_normalization_and_ops():
     assert (-PadicInt(3, 3, 1)).residue == 26
     assert (PadicInt(3, 3, 2) ** -1).residue == 14
     assert PadicInt(3, 3, 25).reduce(1).residue == 1
+    assert (x - PadicInt(3, 3, 5)).residue == 24
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda u: PadicInt(3, 0, 1), "precision must be at least 1"),
+    (lambda u: PadicInt(3, 2, 1).reduce(3), "cannot raise precision"),
+    (lambda u: padic_from_rational(1, 0, 3, 2), "zero denominator"),
+    (lambda u: p_weight(-1, 3), "negative argument"),
+    (lambda u: UnramCtx(u.field, 0), "precision must be at least 1"),
+    (lambda u: u.element((1, 0)), "need 3 coordinates"),
+    (lambda u: u.element((0, 1, 0)).constant(), re.escape("not a constant: (0, 1, 0)")),
+    (lambda u: u.one() ** -1, "negative unramified power"),
+    (lambda u: PiMonomial(2, u.one()), "pi exponent not normalized"),
+    (lambda u: PiMonomial.of(-1, u.one()), "negative pi exponent"),
+], ids=["padic-precision", "padic-reduce-up", "rational-zero-denominator",
+        "weight-negative", "lift-precision", "lift-element-length", "lift-not-constant",
+        "lift-negative-power", "pi-not-normalized", "pi-negative"])
+def test_padic_guards(f27, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(lift_field(f27, 3))
 
 
 def test_padic_mixed_precision_rejected():
@@ -239,6 +260,7 @@ def test_unram_mul_and_pow_match_schoolbook(p, n, modulus, precision):
     for _ in range(200):
         x, y = draw(), draw()
         assert (x * y).coords == schoolbook_mulmod(x.coords, y.coords, mod, pk)
+        assert (x - y) + y == x and x - x == uctx.zero()
     for _ in range(4):
         x = draw()
         power = uctx.one().coords
@@ -262,6 +284,16 @@ def test_lift_pickles_without_its_tables(f27):
     uctx.teich_powers
     copy = pickle.loads(pickle.dumps(uctx))
     assert copy == uctx and vars(copy) == {} and "teich_powers" in vars(uctx)
+
+
+def test_field_pickles_with_its_tables():
+    # a sweep's workers receive the tables and rows the parent built
+    ctx = make_field(3, 4)
+    tables, rows = ctx.tables, ksum.kloos._count_table(ctx)
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy == ctx and copy is not ctx
+    assert vars(copy)["tables"] == tables and vars(copy)["count_rows"] == rows
+    assert ksum.kloos._count_table(copy) is vars(copy)["count_rows"]
 
 
 # ---------------------------------------------------------- teichmuller
@@ -395,6 +427,15 @@ def test_gauss_sum_index_range(f27):
         gauss_sum(uctx, 0)
     with pytest.raises(ValueError):
         gauss_sum(uctx, 26)
+
+
+def test_gauss_square_rejects_a_pi_power(monkeypatch, f27):
+    # at p = 3 every normalised square folds pi^2 = -3 into its unit, so
+    # only a defect in the product leaves a pi power
+    monkeypatch.setattr(PiMonomial, "__mul__",
+                        lambda a, b: PiMonomial.of(1, a.unit * b.unit))
+    with pytest.raises(InternalCheckError, match="squared Gauss sum kept a pi power"):
+        gauss_square_mod27(lift_field(f27, 3), 1)
 
 
 def test_gauss_square_values_q27(f27):
@@ -532,7 +573,7 @@ def _swap_log_table_entries(monkeypatch, uctx):
     ctx = uctx.field
     exp = list(ctx.tables.exp)
     exp[5], exp[6] = exp[6], exp[5]
-    monkeypatch.setattr(ctx, "tables", ctx.tables._replace(exp=exp))
+    monkeypatch.setitem(vars(ctx), "tables", ctx.tables._replace(exp=exp))
 
 
 @pytest.mark.parametrize("corrupt,message", [

@@ -101,6 +101,8 @@ def test_scope_domain_mismatches_rejected():
         run_verification(VerificationJob(3, 3, "mod9", scope=("sample", 99, 0)))
     with pytest.raises(JobError):
         run_verification(VerificationJob(3, 3, "wt1", scope=("exponent", 26)))
+    with pytest.raises(JobError, match="unknown scope 'everything'"):
+        run_verification(VerificationJob(3, 3, "mod9", scope=("everything",)))
 
 
 def test_bad_job_parameters_rejected():
@@ -163,6 +165,8 @@ def test_emit_report_renders_failures():
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]
     assert lines[0]["pass"] is False
     assert lines[-1]["failures"] == 1
+    with pytest.raises(JobError, match="unknown format 'xml'"):
+        emit_report(rep, "xml", io.StringIO())
 
 
 def test_spectrum_sweep_reports():

@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from ksum.cyclo import CycInt, IntPolynomial
-from ksum.ff import ExponentSet, FFElem, build_subset, make_field
+from ksum.ff import ExponentSet, FFElem, FieldCtx, build_subset, make_field
 from ksum.kloos import CongruenceReport, KloostermanValue, MinPolyResult, kloosterman, min_poly
 from ksum.padic import (PadicInt, PiMonomial, UnramCtx, UnramElem, gauss_sum, lift_field,
                         teichmuller)
@@ -21,6 +21,7 @@ FIELDS = {
     CycInt: ("p", "coords"),
     IntPolynomial: ("coeffs",),
     FFElem: ("coeffs",),
+    FieldCtx: ("p", "n", "modulus", "generator"),
     ExponentSet: ("p", "q", "exponents", "kind"),
     KloostermanValue: ("counts", "value"),
     MinPolyResult: ("min_poly", "multiplicity", "char_poly"),
@@ -47,6 +48,7 @@ def _instances():
         CycInt(3, (1, -2)),
         IntPolynomial((1, 0, 2, 0)),
         a,
+        ctx,
         subset,
         kloosterman(ctx, a),
         min_poly(ctx, a),
@@ -110,9 +112,27 @@ def test_reprs_read_as_constructor_calls():
     assert repr(CycInt(3, (1, -2))) == "CycInt(p=3, coords=(1, -2))"
     assert repr(IntPolynomial((1, 0, 2, 0))) == "IntPolynomial(coeffs=(1, 0, 2))"
     assert repr(PadicInt(3, 2, -1)) == "PadicInt(p=3, precision=2, residue=8)"
+    assert repr(make_field(3, 2)) == (
+        "FieldCtx(p=3, n=2, modulus=(2, 1, 1), generator=FFElem(coeffs=(0, 1)))")
     assert repr(VerificationJob(3, 3, "mod9")) == (
         "VerificationJob(p=3, n=3, check='mod9', modulus=None, scope=('all',), "
         "jobs=None, precision=None)")
+
+
+def test_field_context_normalises_its_fields():
+    # p and n as ints, the modulus as a tuple of residues mod p
+    ctx = FieldCtx(3.0, "2", [-1, 4, 7], FFElem((0, 1)))
+    assert ctx == make_field(3, 2) and hash(ctx) == hash(make_field(3, 2))
+    assert (type(ctx.p), type(ctx.n), ctx.modulus, ctx.q) == (int, int, (2, 1, 1), 9)
+
+
+def test_products_refuse_foreign_operands():
+    uctx = lift_field(make_field(3, 3), 3)
+    for x in (CycInt(3, (1, 0)), IntPolynomial((1, 1)), PadicInt(3, 2, 1), uctx.one(),
+              PiMonomial.of(0, uctx.one())):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x * None
+    assert SweepReport({}, 0, [], [], None, 0.0).cases != 0
 
 
 def test_equality_needs_the_same_type():
